@@ -27,7 +27,6 @@ from .graphs import (
     to_dot,
 )
 from .spectral import (
-    DEFAULT_TOL,
     Spectrum,
     adjacency_matrix,
     eigenvalues_sym,
@@ -45,7 +44,6 @@ from .thresholds import (
     extremal_partition,
     lwy_threshold,
     prior_1factor_thresholds,
-    rho_threshold,
     threshold_params,
 )
 from .factor import (

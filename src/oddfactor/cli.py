@@ -17,7 +17,7 @@ import os
 import re
 import sys
 
-from .factor import check_amahashi, find_odd_factor
+from .factor import DEFAULT_MAX_EDGES, DEFAULT_MAX_N, check_amahashi, find_odd_factor
 from .graphs import (
     Graph,
     GraphError,
@@ -25,7 +25,7 @@ from .graphs import (
     serialize_edge_list,
     to_dot,
 )
-from .spectral import DEFAULT_TOL, adjacency_matrix, eigenvalues_sym
+from .spectral import adjacency_matrix, eigenvalues_sym
 from .thresholds import (
     DegenerateConstructionError,
     build_extremal,
@@ -119,7 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="adjacency eigenvalues of a graph")
     p.add_argument("input", nargs="?", default="-", help="edge-list file, '-', or construction spec")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--digits", type=int, default=9)
     p.add_argument("-o", "--output", default=None)
@@ -133,13 +132,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="test the odd-component criterion over all vertex subsets")
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--max-n", type=int, default=22)
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     p.add_argument("--digits", type=int, default=9)
 
     p = sub.add_parser("find-factor", help="exact search for an odd [1,b]-factor")
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--max-edges", type=int, default=64)
+    p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
     p.add_argument("--digits", type=int, default=9)
 
     p = sub.add_parser("verify", help="run the verification harness")
@@ -193,13 +192,12 @@ def _cmd_spectrum(args) -> int:
     if g.n == 0:
         print("spectrum of the empty graph on 0 vertices is undefined", file=sys.stderr)
         return EXIT_USAGE
-    spec = eigenvalues_sym(adjacency_matrix(g), tol=args.tol)
+    spec = eigenvalues_sym(adjacency_matrix(g))
     if args.format == "json":
-        # the eigenvalues honor --digits; the tolerance is reported verbatim
-        payload = {"values": _round_floats(list(spec.values), args.digits), "tol": spec.tol}
-        _emit(json.dumps(payload) + "\n", args.output)
+        _emit(_json_line({"values": list(spec.values)}, args.digits), args.output)
     else:
-        lines = [f"{v:.{args.digits}f}" for v in spec.values]
+        # rounding first prints a zero eigenvalue's rounding noise as 0, never -0
+        lines = [f"{v:.{args.digits}f}" for v in _round_floats(spec.values, args.digits)]
         _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
@@ -238,7 +236,7 @@ def _cmd_find_factor(args) -> int:
         sys.stdout.write(_json_line(cert.to_json_dict(), args.digits))
         return EXIT_OK
     # no factor: surface the subset witness when the graph is small enough
-    if g.n <= 22:
+    if g.n <= DEFAULT_MAX_N:
         violation = check_amahashi(g, args.b)
         if violation is not None:
             sys.stdout.write(_json_line(violation.to_json_dict(), args.digits))

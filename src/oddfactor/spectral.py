@@ -1,11 +1,9 @@
 """Dense symmetric eigensolver and quotient-matrix machinery.
 
-The eigensolver is a cyclic-sweep Jacobi rotation scheme over the full
-symmetric matrix; it converges once the off-diagonal Frobenius norm drops
-below tol * (1 + on-diagonal norm). That keeps solver error around three
-orders of magnitude below the 1e-9 comparison slack used elsewhere. The
-sweep loop is JIT-compiled when numba is importable and falls back to the
-same pure-Python code otherwise.
+Eigenvalues come from LAPACK's symmetric solver (numpy.linalg.eigvalsh),
+a direct method with no sweep count or tolerance to tune; its error on the
+adjacency matrices used here sits far below the 1e-9 comparison slack used
+elsewhere.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import numpy as np
 from .graphs import Graph, as_vertex_set
 
 __all__ = [
-    "DEFAULT_TOL",
     "Spectrum",
     "sym_matrix",
     "adjacency_matrix",
@@ -31,90 +28,18 @@ __all__ = [
     "quotient_eigs_2x2",
 ]
 
-DEFAULT_TOL = 1e-12
-_MAX_SWEEPS = 100
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-
-def _jacobi_sweeps(a, tol, max_sweeps):
-    """Diagonalize symmetric a in place by cyclic Jacobi sweeps.
-
-    Returns the number of sweeps used, or -1 if the off-diagonal mass never
-    fell below tol * (1 + diagonal norm).
-    """
-    n = a.shape[0]
-    for sweep in range(max_sweeps):
-        off = 0.0
-        ondiag = 0.0
-        for i in range(n):
-            ondiag += a[i, i] * a[i, i]
-            for j in range(i + 1, n):
-                off += 2.0 * a[i, j] * a[i, j]
-        if math.sqrt(off) <= tol * (1.0 + math.sqrt(ondiag)):
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(1.0 + theta * theta))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                app = a[p, p]
-                aqq = a[q, q]
-                for i in range(n):
-                    if i == p or i == q:
-                        continue
-                    aip = a[i, p]
-                    aiq = a[i, q]
-                    a[i, p] = c * aip - s * aiq
-                    a[p, i] = a[i, p]
-                    a[i, q] = s * aip + c * aiq
-                    a[q, i] = a[i, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    off = 0.0
-    ondiag = 0.0
-    for i in range(n):
-        ondiag += a[i, i] * a[i, i]
-        for j in range(i + 1, n):
-            off += 2.0 * a[i, j] * a[i, j]
-    if math.sqrt(off) <= tol * (1.0 + math.sqrt(ondiag)):
-        return max_sweeps
-    return -1
-
-
-if _HAVE_NUMBA:
-    _jacobi_sweeps = njit(cache=True)(_jacobi_sweeps)
-
 
 @dataclass(frozen=True)
 class Spectrum:
-    """All real eigenvalues in nonincreasing order plus the solver tolerance."""
+    """All real eigenvalues in nonincreasing order."""
 
     values: tuple
-    tol: float
 
     def __len__(self):
         return len(self.values)
 
     def __getitem__(self, i):
         return self.values[i]
-
-    def to_json_dict(self) -> dict:
-        return {"values": list(self.values), "tol": self.tol}
 
 
 def sym_matrix(entries) -> np.ndarray:
@@ -138,13 +63,8 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
-def eigenvalues_sym(m, tol: float = DEFAULT_TOL) -> Spectrum:
-    """All eigenvalues of a symmetric matrix, sorted nonincreasing.
-
-    Deterministic for identical input: fixed sweep order, no randomness.
-    """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+def eigenvalues_sym(m) -> Spectrum:
+    """All eigenvalues of a symmetric matrix, sorted nonincreasing."""
     a = np.array(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -154,20 +74,14 @@ def eigenvalues_sym(m, tol: float = DEFAULT_TOL) -> Spectrum:
         raise ValueError("matrix entries must be finite")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be exactly symmetric; see sym_matrix()")
-    sweeps = _jacobi_sweeps(a, float(tol), _MAX_SWEEPS)
-    if sweeps < 0:
-        raise ArithmeticError(
-            f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps (order {a.shape[0]})"
-        )
-    values = np.sort(np.diag(a))[::-1]
-    return Spectrum(values=tuple(float(x) for x in values), tol=float(tol))
+    return Spectrum(values=tuple(float(x) for x in np.linalg.eigvalsh(a)[::-1]))
 
 
-def lambda_k(g: Graph, k: int, tol: float = DEFAULT_TOL) -> float:
+def lambda_k(g: Graph, k: int) -> float:
     """k-th largest adjacency eigenvalue (1-indexed)."""
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be in [1, {g.n}], got {k}")
-    return eigenvalues_sym(adjacency_matrix(g), tol).values[k - 1]
+    return eigenvalues_sym(adjacency_matrix(g)).values[k - 1]
 
 
 # ---------------------------------------------------------------------------

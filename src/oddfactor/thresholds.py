@@ -3,9 +3,9 @@ graphs that attain them.
 
 The central quantity is the threshold rho(r, b) on the third-largest
 adjacency eigenvalue of an r-regular graph: below it an odd [1,b]-factor is
-guaranteed. It comes in four parity branches (parity of r crossed with
-parity of ceil(r/b)) which collapse to a single form in terms of the
-derived quantity eta. Also here: the older Brouwer-Haemers and
+guaranteed. Its four parity branches (parity of r crossed with parity of
+ceil(r/b)) collapse to a single form in terms of the derived quantity eta,
+which is the one computed here. Also here: the older Brouwer-Haemers and
 Cioaba-Gregory-Haemers 1-factor thresholds, the Lu-Wu-Yang odd-[1,b]
 threshold, and the extremal component construction whose largest eigenvalue
 equals rho(r, b).
@@ -29,14 +29,11 @@ __all__ = [
     "ThresholdParams",
     "DegenerateConstructionError",
     "threshold_params",
-    "rho_threshold",
     "lwy_threshold",
     "prior_1factor_thresholds",
     "build_extremal",
     "extremal_partition",
 ]
-
-_FORM_AGREEMENT = 1e-12
 
 
 class DegenerateConstructionError(ValueError):
@@ -62,35 +59,6 @@ def _parity(k: int) -> str:
     return "even" if k % 2 == 0 else "odd"
 
 
-def _rho_value(r: int, ceil_rb: int) -> float:
-    """Compute rho two ways (four parity branches vs unified eta form) and
-    require bit-level-close agreement; guards branch transcription slips."""
-    x = r % 2
-    same_parity = r % 2 == ceil_rb % 2
-    epsilon = 2 if same_parity else 1
-    eta = ceil_rb - epsilon
-
-    if x == 0 and same_parity:
-        branch = (r - 2 + math.sqrt((r + 2) ** 2 - 4 * (ceil_rb - 2))) / 2
-    elif x == 0:
-        branch = (r - 2 + math.sqrt((r + 2) ** 2 - 4 * (ceil_rb - 1))) / 2
-    elif same_parity:
-        branch = (r - 3 + math.sqrt((r + 3) ** 2 - 4 * (ceil_rb - 2))) / 2
-    else:
-        branch = (r - 3 + math.sqrt((r + 3) ** 2 - 4 * (ceil_rb - 1))) / 2
-
-    disc = (r + 2 + x) ** 2 - 4 * eta
-    if disc < 0:
-        raise AssertionError(f"negative discriminant {disc} for r={r}, ceil={ceil_rb}")
-    unified = (r - 2 - x + math.sqrt(disc)) / 2
-
-    if abs(branch - unified) > _FORM_AGREEMENT:
-        raise AssertionError(
-            f"threshold forms disagree at r={r}, ceil={ceil_rb}: {branch!r} vs {unified!r}"
-        )
-    return unified
-
-
 def _check_rb(r: int, b: int) -> None:
     if r < 3:
         raise ValueError(f"degree r must be at least 3, got {r}")
@@ -106,8 +74,9 @@ def threshold_params(r: int, b: int) -> ThresholdParams:
     ceil_rb = (r + b - 1) // b
     epsilon = 2 if r % 2 == ceil_rb % 2 else 1
     eta = ceil_rb - epsilon
+    x = r % 2
     # eta inherits the parity of r
-    if eta % 2 != r % 2:
+    if eta % 2 != x:
         raise AssertionError(f"eta parity broken at r={r}, b={b}")
     return ThresholdParams(
         r=r,
@@ -116,14 +85,9 @@ def threshold_params(r: int, b: int) -> ThresholdParams:
         epsilon=epsilon,
         eta=eta,
         parity_case=f"{_parity(r)}-{_parity(ceil_rb)}",
-        parity_offset=r % 2,
-        rho=_rho_value(r, ceil_rb),
+        parity_offset=x,
+        rho=(r - 2 - x + math.sqrt((r + 2 + x) ** 2 - 4 * eta)) / 2,
     )
-
-
-def rho_threshold(p: ThresholdParams) -> float:
-    """Recompute rho from (r, ceil_rb); both closed forms are cross-asserted."""
-    return _rho_value(p.r, p.ceil_rb)
 
 
 def lwy_threshold(r: int, b: int) -> float:

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .factor import find_odd_factor
-from .graphs import Graph, serialize_edge_list
+from .graphs import Graph, components, serialize_edge_list
 from .spectral import (
     adjacency_matrix,
     eigenvalues_sym,
@@ -181,11 +181,12 @@ def _pairing_attempt(n: int, r: int, rng: random.Random):
 
 
 def random_regular(n: int, r: int, seed: int, max_retries: int = 10_000) -> Graph:
-    """Sample a simple r-regular graph by the pairing model.
+    """Sample a simple connected r-regular graph by the pairing model.
 
     Stubs are shuffled and paired; self-loops and repeated pairs are thrown
     back and re-paired, and the attempt restarts from scratch once no simple
-    pair can be completed. Deterministic for a fixed seed. Raises after
+    pair can be completed or the finished graph is disconnected, so every
+    graph returned is connected. Deterministic for a fixed seed. Raises after
     max_retries restarts.
     """
     if r < 0 or r >= n:
@@ -196,19 +197,21 @@ def random_regular(n: int, r: int, seed: int, max_retries: int = 10_000) -> Grap
     for _ in range(max_retries + 1):
         edges = _pairing_attempt(n, r, rng)
         if edges is not None:
-            return Graph(n, edges)
+            g = Graph(n, edges)
+            if len(components(g)) == 1:
+                return g
     raise RuntimeError(
-        f"pairing model failed to produce a simple {r}-regular graph on {n} vertices "
-        f"after {max_retries + 1} attempts (seed {seed})"
+        f"pairing model failed to produce a simple connected {r}-regular graph on {n} "
+        f"vertices after {max_retries + 1} attempts (seed {seed})"
     )
 
 
 def theorem_check(g: Graph, b: int, seed: int | None = None) -> TrialReport:
     """Evaluate the factor implication on one regular even-order graph.
 
-    Computes lambda_3 and rho(r, b); when lambda_3 < rho - GUARD the factor
-    search runs and its outcome is recorded. Otherwise the implication is
-    silent and no search happens.
+    Computes lambda_3 and rho(r, b); when the graph is connected and
+    lambda_3 < rho - GUARD the factor search runs and its outcome is
+    recorded. Otherwise the implication is silent and no search happens.
     """
     t0 = time.perf_counter()
     if g.n % 2 != 0:
@@ -219,7 +222,7 @@ def theorem_check(g: Graph, b: int, seed: int | None = None) -> TrialReport:
     p = threshold_params(r, b)  # rejects r < 3, even b, b >= r
     spec = eigenvalues_sym(adjacency_matrix(g))
     lam3 = spec.values[2]
-    applicable = lam3 < p.rho - GUARD
+    applicable = lam3 < p.rho - GUARD and len(components(g)) == 1
     found = None
     if applicable:
         cert = find_odd_factor(g, b, max_edges=len(g.edges))

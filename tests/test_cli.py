@@ -84,13 +84,22 @@ def test_spectrum_from_file(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["values"] == [3.0, -1.0, -1.0, -1.0]
-    assert payload["tol"] == pytest.approx(1e-12)
+    assert list(payload) == ["values"]
 
 
 def test_spectrum_from_construction_spec(capsys):
     code, out, err = run(capsys, "spectrum", "C4", "--format", "text")
     assert code == 0
     assert out.splitlines()[0] == "2.000000000"
+
+
+def test_spectrum_text_prints_zero_eigenvalues_unsigned(capsys):
+    # M6 and H:r=5,b=1 have zero eigenvalues that the solver returns as +-1e-16
+    for spec in ("M6", "H:r=5,b=1"):
+        code, out, err = run(capsys, "spectrum", spec, "--format", "text")
+        assert code == 0
+        assert "0.000000000" in out.splitlines()
+        assert "-0.000000000" not in out.splitlines()
 
 
 def test_spectrum_from_stdin(capsys, monkeypatch):

@@ -14,7 +14,6 @@ from oddfactor import (
     prior_1factor_thresholds,
     quotient_eigs_2x2,
     quotient_matrix,
-    rho_threshold,
     threshold_params,
 )
 
@@ -56,11 +55,23 @@ def test_rho_spot_values():
     assert abs(threshold_params(5, 1).rho - (1 + math.sqrt(13))) < 1e-12
 
 
-def test_rho_threshold_recomputes_and_cross_asserts():
+def _rho_four_branch(r, b):
+    """rho(r, b) in the paper's four parity branches, as an oracle for the
+    unified eta form that threshold_params computes."""
+    ceil_rb = -(-r // b)
+    if r % 2 == 0 and ceil_rb % 2 == 0:
+        return (r - 2 + math.sqrt((r + 2) ** 2 - 4 * (ceil_rb - 2))) / 2
+    if r % 2 == 0:
+        return (r - 2 + math.sqrt((r + 2) ** 2 - 4 * (ceil_rb - 1))) / 2
+    if ceil_rb % 2 == 1:
+        return (r - 3 + math.sqrt((r + 3) ** 2 - 4 * (ceil_rb - 2))) / 2
+    return (r - 3 + math.sqrt((r + 3) ** 2 - 4 * (ceil_rb - 1))) / 2
+
+
+def test_rho_matches_four_branch_oracle():
     for r in range(3, 61):
         for b in range(1, r, 2):
-            p = threshold_params(r, b)
-            assert rho_threshold(p) == p.rho
+            assert abs(threshold_params(r, b).rho - _rho_four_branch(r, b)) <= 1e-12
 
 
 def test_rho_is_degree_when_eta_zero():

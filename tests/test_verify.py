@@ -10,7 +10,9 @@ from oddfactor import (
     case2_polynomial_check,
     check_amahashi,
     complete_graph,
+    components,
     cycle_graph,
+    disjoint_union,
     lambda_k,
     random_regular,
     randomized_theorem_campaign,
@@ -20,7 +22,7 @@ from oddfactor import (
     threshold_params,
 )
 from oddfactor.thresholds import DegenerateConstructionError
-from oddfactor.verify import SWEEP_CSV_HEADER
+from oddfactor.verify import SWEEP_CSV_HEADER, _trial_seed
 from conftest import cubic_no_matching_16, petersen_graph, quartic_no_matching_22
 
 
@@ -65,6 +67,11 @@ def test_random_regular_spread_of_degrees():
         assert set(g.degrees()) == {r}
 
 
+def test_random_regular_restarts_on_disconnected_sample():
+    # the first simple pairing at this campaign seed is two copies of K4
+    assert len(components(random_regular(8, 3, seed=_trial_seed(5, 284)))) == 1
+
+
 # ---------------------------------------------------------------------------
 # the main implication
 
@@ -102,6 +109,14 @@ def test_theorem_check_rejects_irregular():
 def test_theorem_check_inapplicable_when_lambda3_large():
     # no factor exists, so lambda3 must sit at or above rho and no search runs
     rep = theorem_check(cubic_no_matching_16(), 1)
+    assert not rep.implication_applicable
+    assert rep.factor_found is None
+
+
+def test_theorem_check_inapplicable_when_disconnected():
+    # K5 + K5 has lambda3 = -1 < rho(4, 1) but no perfect matching
+    rep = theorem_check(disjoint_union([complete_graph(5), complete_graph(5)]), 1)
+    assert abs(rep.lambda3 + 1.0) < 1e-9
     assert not rep.implication_applicable
     assert rep.factor_found is None
 
