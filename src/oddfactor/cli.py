@@ -3,7 +3,8 @@
 Subcommands: construct, spectrum, threshold, check, find-factor, and the
 verify family (sharpness, case2, sweep, campaign). Results go to stdout,
 diagnostics to stderr. Exit codes: 0 success/holds/found, 3 no factor or
-criterion violated, 2 usage or input error, 4 theorem contradiction.
+criterion violated, 2 usage or input error, 4 theorem contradiction
+(including the two factor deciders disagreeing on a graph).
 
 Graphs enter as edge-list files ('-' for stdin) or as inline construction
 specs: K5, C7, E4, M6 (matching complement), H:r=5,b=1 (extremal graph).
@@ -17,7 +18,14 @@ import os
 import re
 import sys
 
-from .factor import DEFAULT_MAX_EDGES, DEFAULT_MAX_N, check_amahashi, find_odd_factor
+from .factor import (
+    DEFAULT_MAX_EDGES,
+    DEFAULT_MAX_N,
+    check_amahashi,
+    find_odd_factor,
+    subset_guard,
+    verify_certificate,
+)
 from .graphs import (
     Graph,
     GraphError,
@@ -129,13 +137,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--digits", type=int, default=9)
 
-    p = sub.add_parser("check", help="test the odd-component criterion over all vertex subsets")
+    p = sub.add_parser(
+        "check",
+        help="test the odd-component criterion: 'holds' from a verified factor, "
+        "a violation from the enumeration of all vertex subsets",
+    )
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     p.add_argument("--digits", type=int, default=9)
 
-    p = sub.add_parser("find-factor", help="exact search for an odd [1,b]-factor")
+    p = sub.add_parser("find-factor", help="exact polynomial decider for an odd [1,b]-factor")
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
@@ -221,12 +233,16 @@ def _cmd_threshold(args) -> int:
 
 def _cmd_check(args) -> int:
     g = _read_graph(args.input)
-    violation = check_amahashi(g, args.b, max_n=args.max_n)
-    if violation is None:
-        sys.stdout.write(_json_line({"kind": "holds"}, args.digits))
-        return EXIT_OK
-    sys.stdout.write(_json_line(violation.to_json_dict(), args.digits))
-    return EXIT_NEGATIVE
+    subset_guard(g, args.b, args.max_n)
+    cert = find_odd_factor(g, args.b, max_edges=len(g.edges))
+    if cert is not None:
+        checked = verify_certificate(g, args.b, cert)
+        if checked:
+            # a verified factor means the criterion holds (Amahashi's theorem)
+            sys.stdout.write(_json_line({"kind": "holds"}, args.digits))
+            return EXIT_OK
+        print(f"factor certificate rejected: {checked.reason}", file=sys.stderr)
+    return _write_violation(g, args.b, args.max_n, args.digits)
 
 
 def _cmd_find_factor(args) -> int:
@@ -237,11 +253,24 @@ def _cmd_find_factor(args) -> int:
         return EXIT_OK
     # no factor: surface the subset witness when the graph is small enough
     if g.n <= DEFAULT_MAX_N:
-        violation = check_amahashi(g, args.b)
-        if violation is not None:
-            sys.stdout.write(_json_line(violation.to_json_dict(), args.digits))
-            return EXIT_NEGATIVE
+        return _write_violation(g, args.b, DEFAULT_MAX_N, args.digits)
     sys.stdout.write(_json_line({"kind": "none"}, args.digits))
+    return EXIT_NEGATIVE
+
+
+def _write_violation(g: Graph, b: int, max_n: int, digits: int) -> int:
+    """No factor was found: print the smallest Amahashi witness, or report
+    on stderr, with no answer on stdout, that the subset enumeration finds
+    none and the two deciders contradict each other."""
+    violation = check_amahashi(g, b, max_n=max_n)
+    if violation is None:
+        print(
+            "deciders disagree: no odd [1,b]-factor was found, "
+            "but no vertex subset violates o(G-S) <= b|S|",
+            file=sys.stderr,
+        )
+        return EXIT_THEOREM
+    sys.stdout.write(_json_line(violation.to_json_dict(), digits))
     return EXIT_NEGATIVE
 
 

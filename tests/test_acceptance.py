@@ -31,7 +31,7 @@ from oddfactor import (
     theorem_check,
     threshold_params,
 )
-from conftest import petersen_graph, random_graph
+from conftest import dfs_odd_factor, petersen_graph, random_graph
 
 R_MAX = 60
 
@@ -166,10 +166,11 @@ def test_criterion_5_oracle_equivalence_exhaustive_6():
             total += 1
             via_search = find_odd_factor(g, b) is not None
             via_criterion = check_amahashi(g, b) is None
-            if via_search != via_criterion:
+            via_dfs = dfs_odd_factor(g, b) is not None
+            if not via_search == via_criterion == via_dfs:
                 disagreements += 1
     ok = disagreements == 0
-    assert report(5, ok, f"{total} decider pairs on all 2^15 graphs, {disagreements} disagreements")
+    assert report(5, ok, f"{total} decider triples on all 2^15 graphs, {disagreements} disagreements")
 
 
 def test_criterion_6_theorem_campaign():

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -144,6 +147,32 @@ def test_find_factor_exit_codes(capsys, tmp_path):
     code, out, err = run(capsys, "find-factor", str(star), "--b", "1")
     assert code == 3
     assert json.loads(out)["kind"] == "violation"
+
+
+def test_decider_contradiction_is_reported(capsys, monkeypatch):
+    # a factor decider that wrongly says "no" on C6, where the criterion holds
+    monkeypatch.setattr("oddfactor.cli.find_odd_factor", lambda g, b, max_edges: None)
+    for command in ("find-factor", "check"):
+        code, out, err = run(capsys, command, "C6", "--b", "1")
+        assert code == 4
+        assert out == ""
+        assert "deciders disagree" in err
+
+
+def test_cli_imports_only_numpy_beyond_stdlib():
+    # modules loaded before the import (site hooks) do not count, nor the
+    # alias multiprocessing gives __main__
+    code = (
+        "import json, sys; before = set(sys.modules); import oddfactor.cli; "
+        "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+        " - set(sys.stdlib_module_names) - {'__mp_main__'})))"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert json.loads(out) == ["numpy", "oddfactor"]
 
 
 def test_usage_errors(capsys):

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddfactor import (
     FactorCertificate,
@@ -17,8 +19,11 @@ from oddfactor import (
     verify_certificate,
 )
 from conftest import (
+    barrier_cubic,
     brute_force_has_odd_factor,
     cubic_no_matching_16,
+    dfs_odd_factor,
+    graphs,
     random_graph,
 )
 
@@ -106,18 +111,56 @@ def test_deciders_agree_exhaustively_n4():
             g = Graph(4, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
             via_criterion = check_amahashi(g, b) is None
             via_search = find_odd_factor(g, b) is not None
+            via_dfs = dfs_odd_factor(g, b) is not None
             via_brute = brute_force_has_odd_factor(g, b)
-            assert via_criterion == via_search == via_brute
+            assert via_criterion == via_search == via_dfs == via_brute
 
 
 def test_deciders_agree_on_random_graphs():
     rng = random.Random(99)
+    gadget_only = 0  # a factor for b >= 3 but no perfect matching
     for _ in range(500):
         g = random_graph(rng, rng.randrange(1, 13), rng.choice([0.2, 0.4, 0.6]))
         for b in (1, 3, 5):
             via_criterion = check_amahashi(g, b) is None
-            via_search = find_odd_factor(g, b, max_edges=len(g.edges)) is not None
-            assert via_criterion == via_search, f"disagree on {g.edges} b={b}"
+            cert = find_odd_factor(g, b, max_edges=len(g.edges))
+            via_search = cert is not None
+            via_dfs = dfs_odd_factor(g, b, max_edges=len(g.edges)) is not None
+            assert via_criterion == via_search == via_dfs, f"disagree on {g.edges} b={b}"
+            if b == 1:
+                perfect = via_search
+            elif via_search and not perfect:
+                gadget_only += 1
+            if cert is not None:
+                assert verify_certificate(g, b, cert)
+    # the degree-gadget branch must keep being exercised
+    assert gadget_only >= 16
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(graphs(10), st.sampled_from([1, 3, 5]))
+def test_deciders_agree_property(g, b):
+    cert = find_odd_factor(g, b)
+    assert (cert is not None) == (dfs_odd_factor(g, b) is not None) == (check_amahashi(g, b) is None)
+    if cert is not None:
+        assert verify_certificate(g, b, cert)
+
+
+def test_degree_gadget_cases():
+    star = join(complete_graph(1), empty_graph(5))  # K_{1,5}
+    assert find_odd_factor(star, 3) is None
+    cert = find_odd_factor(star, 5)
+    assert cert is not None and verify_certificate(star, 5, cert)
+    assert cert.degrees == (5, 1, 1, 1, 1, 1)
+    # no perfect matching, so only the gadget finds these factors; on the
+    # second graph the backtracking search cannot prove the b = 1 answer
+    big = barrier_cubic(81)
+    assert big.n == 244
+    for g in (cubic_no_matching_16(), big):
+        assert find_odd_factor(g, 1, max_edges=len(g.edges)) is None
+        cert = find_odd_factor(g, 3, max_edges=len(g.edges))
+        assert cert is not None and verify_certificate(g, 3, cert)
+        assert max(cert.degrees) == 3
 
 
 def test_odd_order_never_has_factor():

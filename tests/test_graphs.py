@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from oddfactor import (
     DuplicateEdgeError,
@@ -28,7 +29,7 @@ from oddfactor import (
     standard_graph,
     to_dot,
 )
-from conftest import random_graph
+from conftest import graphs, random_graph
 
 
 def test_complete_graph():
@@ -199,6 +200,12 @@ def test_parse_and_serialize():
     for _ in range(30):
         g = random_graph(rng, rng.randrange(0, 9), 0.4)
         assert parse_edge_list(serialize_edge_list(g)) == g
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(graphs(12))
+def test_parse_serialize_round_trip_property(g):
+    assert parse_edge_list(serialize_edge_list(g)) == g
 
 
 def test_parse_error_kinds():
