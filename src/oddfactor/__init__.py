@@ -23,7 +23,6 @@ from .graphs import (
     odd_component_count,
     parse_edge_list,
     serialize_edge_list,
-    standard_graph,
     to_dot,
 )
 from .spectral import (

@@ -19,8 +19,8 @@ import re
 import sys
 
 from .factor import (
-    DEFAULT_MAX_EDGES,
     DEFAULT_MAX_N,
+    FactorCertificate,
     check_amahashi,
     find_odd_factor,
     subset_guard,
@@ -29,6 +29,10 @@ from .factor import (
 from .graphs import (
     Graph,
     GraphError,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    matching_complement,
     parse_edge_list,
     serialize_edge_list,
     to_dot,
@@ -57,21 +61,14 @@ EXIT_THEOREM = 4
 
 _CONSTRUCT_RE = re.compile(r"^([KCEM])(\d+)$")
 _H_RE = re.compile(r"^H:r=(\d+),b=(\d+)$")
+_BUILDERS = {"K": complete_graph, "C": cycle_graph, "E": empty_graph, "M": matching_complement}
 
 
 def parse_construction(text: str) -> Graph:
     """Inline graph mini-spec: K5, C7, E4, M6, or H:r=5,b=1."""
-    from .graphs import standard_graph
-
     m = _CONSTRUCT_RE.match(text)
     if m:
-        kind = {
-            "K": "complete",
-            "C": "cycle",
-            "E": "empty",
-            "M": "matching_complement_part",
-        }[m.group(1)]
-        return standard_graph(kind, int(m.group(2)))
+        return _BUILDERS[m.group(1)](int(m.group(2)))
     m = _H_RE.match(text)
     if m:
         return build_extremal(threshold_params(int(m.group(1)), int(m.group(2))))
@@ -111,6 +108,10 @@ def _json_line(payload: dict, digits: int) -> str:
     return json.dumps(_round_floats(payload, digits)) + "\n"
 
 
+# a size check on find-factor's input; the decider itself is polynomial
+DEFAULT_MAX_EDGES = 64
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oddfactor",
@@ -124,18 +125,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, help="odd bound for the extremal graph")
     p.add_argument("--format", choices=["edges", "dot"], default="edges")
     p.add_argument("-o", "--output", default=None)
+    p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("spectrum", help="adjacency eigenvalues of a graph")
     p.add_argument("input", nargs="?", default="-", help="edge-list file, '-', or construction spec")
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--digits", type=int, default=9)
     p.add_argument("-o", "--output", default=None)
+    p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("threshold", help="threshold parameters and bound values")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--digits", type=int, default=9)
+    p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser(
         "check",
@@ -146,12 +150,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     p.add_argument("--digits", type=int, default=9)
+    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("find-factor", help="exact polynomial decider for an odd [1,b]-factor")
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
     p.add_argument("--digits", type=int, default=9)
+    p.set_defaults(func=_cmd_find_factor)
 
     p = sub.add_parser("verify", help="run the verification harness")
     vsub = p.add_subparsers(dest="verify_command", required=True)
@@ -160,15 +166,18 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--r", type=int, required=True)
     v.add_argument("--b", type=int, required=True)
     v.add_argument("--digits", type=int, default=9)
+    v.set_defaults(func=_cmd_verify_sharpness)
 
     v = vsub.add_parser("case2", help="quotient polynomial nonpositive at the threshold")
     v.add_argument("--r", type=int, required=True)
     v.add_argument("--b", type=int, required=True)
     v.add_argument("--digits", type=int, default=9)
+    v.set_defaults(func=_cmd_verify_case2)
 
     v = vsub.add_parser("sweep", help="bound comparison CSV over all (r, b)")
     v.add_argument("--r-max", type=int, default=60)
     v.add_argument("-o", "--output", default=None)
+    v.set_defaults(func=_cmd_verify_sweep)
 
     v = vsub.add_parser("campaign", help="randomized trials of the factor implication")
     v.add_argument("--trials", type=int, default=500)
@@ -179,6 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--r-max", type=int, default=7)
     v.add_argument("--b-policy", choices=["random", "unit", "max"], default="random")
     v.add_argument("--jobs", type=int, default=1)
+    v.set_defaults(func=_cmd_verify_campaign)
 
     return parser
 
@@ -234,34 +244,33 @@ def _cmd_threshold(args) -> int:
 def _cmd_check(args) -> int:
     g = _read_graph(args.input)
     subset_guard(g, args.b, args.max_n)
-    cert = find_odd_factor(g, args.b, max_edges=len(g.edges))
-    if cert is not None:
-        checked = verify_certificate(g, args.b, cert)
-        if checked:
-            # a verified factor means the criterion holds (Amahashi's theorem)
-            sys.stdout.write(_json_line({"kind": "holds"}, args.digits))
-            return EXIT_OK
-        print(f"factor certificate rejected: {checked.reason}", file=sys.stderr)
-    return _write_violation(g, args.b, args.max_n, args.digits)
+    # a verified factor means the criterion holds (Amahashi's theorem)
+    return _decide(g, args.b, args.max_n, args.digits, lambda cert: {"kind": "holds"})
 
 
 def _cmd_find_factor(args) -> int:
     g = _read_graph(args.input)
-    cert = find_odd_factor(g, args.b, max_edges=args.max_edges)
+    m = len(g.edges)
+    if m > args.max_edges:
+        raise ValueError(f"edge count {m} exceeds the search guard {args.max_edges}")
+    return _decide(g, args.b, DEFAULT_MAX_N, args.digits, FactorCertificate.to_json_dict)
+
+
+def _decide(g: Graph, b: int, max_n: int, digits: int, found) -> int:
+    """Print found(certificate) for a verified factor; with none, the
+    smallest Amahashi witness when g has at most max_n vertices, else
+    {"kind": "none"}. A graph with neither a factor nor a witness makes the
+    two deciders contradict each other: stderr says so, stdout stays empty."""
+    cert = find_odd_factor(g, b)
     if cert is not None:
-        sys.stdout.write(_json_line(cert.to_json_dict(), args.digits))
-        return EXIT_OK
-    # no factor: surface the subset witness when the graph is small enough
-    if g.n <= DEFAULT_MAX_N:
-        return _write_violation(g, args.b, DEFAULT_MAX_N, args.digits)
-    sys.stdout.write(_json_line({"kind": "none"}, args.digits))
-    return EXIT_NEGATIVE
-
-
-def _write_violation(g: Graph, b: int, max_n: int, digits: int) -> int:
-    """No factor was found: print the smallest Amahashi witness, or report
-    on stderr, with no answer on stdout, that the subset enumeration finds
-    none and the two deciders contradict each other."""
+        checked = verify_certificate(g, b, cert)
+        if checked:
+            sys.stdout.write(_json_line(found(cert), digits))
+            return EXIT_OK
+        print(f"factor certificate rejected: {checked.reason}", file=sys.stderr)
+    if g.n > max_n:
+        sys.stdout.write(_json_line({"kind": "none"}, digits))
+        return EXIT_NEGATIVE
     violation = check_amahashi(g, b, max_n=max_n)
     if violation is None:
         print(
@@ -352,33 +361,16 @@ def _cmd_verify_campaign(args) -> int:
     return EXIT_OK
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "construct":
-            return _cmd_construct(args)
-        if args.command == "spectrum":
-            return _cmd_spectrum(args)
-        if args.command == "threshold":
-            return _cmd_threshold(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "find-factor":
-            return _cmd_find_factor(args)
-        if args.command == "verify":
-            if args.verify_command == "sharpness":
-                return _cmd_verify_sharpness(args)
-            if args.verify_command == "case2":
-                return _cmd_verify_case2(args)
-            if args.verify_command == "sweep":
-                return _cmd_verify_sweep(args)
-            if args.verify_command == "campaign":
-                return _cmd_verify_campaign(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.func(args)
     except TheoremViolation as exc:
         print(f"theorem violated: {exc}", file=sys.stderr)
         if exc.graph_text:

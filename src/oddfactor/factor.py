@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_N = 22
-DEFAULT_MAX_EDGES = 64
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,7 @@ def _build_violation(g: Graph, s, o: int, bound: int) -> AmahashiViolation:
     return AmahashiViolation(s=tuple(s), odd_components=odd, o=o, bound=bound)
 
 
-def find_odd_factor(g: Graph, b: int, max_edges: int = DEFAULT_MAX_EDGES):
+def find_odd_factor(g: Graph, b: int):
     """Exact polynomial decider for a spanning subgraph with all degrees odd and in [1, b].
 
     Returns a FactorCertificate or None, and None proves that no factor
@@ -159,12 +158,9 @@ def find_odd_factor(g: Graph, b: int, max_edges: int = DEFAULT_MAX_EDGES):
     that only the vertices of G it missed need a search. The certificate is
     a perfect matching whenever G has one. The gadget has 4m - n vertices,
     and at most n searches of O((4m)^2) each run on it, so the time is
-    O(n m^2). max_edges is a size guard, not a limit of the method.
+    O(n m^2).
     """
     _check_b(b)
-    m = len(g.edges)
-    if m > max_edges:
-        raise ValueError(f"edge count {m} exceeds the search guard {max_edges}")
     n = g.n
     if n == 0:
         return FactorCertificate(edges=(), degrees=())
@@ -319,7 +315,7 @@ def verify_certificate(g: Graph, b: int, cert: FactorCertificate) -> Certificate
         if key in seen:
             return CertificateCheck(False, f"duplicate edge {key}")
         seen.add(key)
-        if key not in g._edge_set:
+        if not g.has_edge(u, v):
             return CertificateCheck(False, f"edge {key} not in the host graph")
         degrees[u] += 1
         degrees[v] += 1

@@ -20,7 +20,6 @@ __all__ = [
     "SelfLoopError",
     "DuplicateEdgeError",
     "as_vertex_set",
-    "standard_graph",
     "complete_graph",
     "cycle_graph",
     "empty_graph",
@@ -98,15 +97,6 @@ class Graph:
             lists[v].append(u)
         self.adj = tuple(tuple(sorted(ns)) for ns in lists)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise VertexRangeError(f"vertex {v} out of range for n={self.n}")
-        return len(self.adj[v])
-
     def degrees(self) -> tuple:
         return tuple(len(ns) for ns in self.adj)
 
@@ -114,11 +104,6 @@ class Graph:
         if u == v:
             return False
         return ((u, v) if u < v else (v, u)) in self._edge_set
-
-    def neighbors(self, v: int) -> tuple:
-        if not 0 <= v < self.n:
-            raise VertexRangeError(f"vertex {v} out of range for n={self.n}")
-        return self.adj[v]
 
     def regular_degree(self):
         """Common degree if the graph is regular, else None (n=0 gives 0)."""
@@ -189,22 +174,6 @@ def matching_complement(k: int) -> Graph:
     if k < 0 or k % 2 != 0:
         raise GraphError(f"matching complement needs even k >= 0, got {k}")
     return complement(disjoint_union([complete_graph(2)] * (k // 2)))
-
-
-_STANDARD = {
-    "complete": complete_graph,
-    "cycle": cycle_graph,
-    "empty": empty_graph,
-    "matching_complement_part": matching_complement,
-}
-
-
-def standard_graph(kind: str, k: int) -> Graph:
-    try:
-        builder = _STANDARD[kind]
-    except KeyError:
-        raise GraphError(f"unknown standard graph kind {kind!r}") from None
-    return builder(k)
 
 
 def complement(g: Graph) -> Graph:

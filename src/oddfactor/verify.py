@@ -225,8 +225,7 @@ def theorem_check(g: Graph, b: int, seed: int | None = None) -> TrialReport:
     applicable = lam3 < p.rho - GUARD and len(components(g)) == 1
     found = None
     if applicable:
-        cert = find_odd_factor(g, b, max_edges=len(g.edges))
-        found = cert is not None
+        found = find_odd_factor(g, b) is not None
     return TrialReport(
         r=r,
         b=b,
@@ -327,30 +326,20 @@ def case2_polynomial_check(r: int, b: int) -> Case2Report:
     )
 
 
-def _sweep_pairs(r_max: int, b_policy: str):
-    if r_max < 3:
-        raise ValueError(f"r_max must be at least 3, got {r_max}")
-    for r in range(3, r_max + 1):
-        if b_policy == "all":
-            bs = range(1, r, 2)
-        elif b_policy == "unit":
-            bs = (1,)
-        else:
-            raise ValueError(f"unknown b_policy {b_policy!r}")
-        for b in bs:
-            yield r, b
-
-
-def bound_sweep(r_max: int, b_policy: str = "all") -> list:
-    """One row per (r, b): every closed-form bound plus the realized lambda_1.
+def bound_sweep(r_max: int) -> list:
+    """One row per (r, b) with 3 <= r <= r_max and odd b < r: every
+    closed-form bound plus the realized lambda_1.
 
     lambda1_H stays None on degenerate constructions (odd r, eta < 3). Each
     row records its own validation outcomes instead of raising, so a single
     offending pair cannot take down the rest of the sweep.
     """
+    if r_max < 3:
+        raise ValueError(f"r_max must be at least 3, got {r_max}")
     lam1_cache: dict = {}
     rows = []
-    for r, b in _sweep_pairs(r_max, b_policy):
+    pairs = [(r, b) for r in range(3, r_max + 1) for b in range(1, r, 2)]
+    for r, b in pairs:
         p = threshold_params(r, b)
         lwy = lwy_threshold(r, b)
         bh, cgh = prior_1factor_thresholds(r)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from oddfactor import FactorCertificate, Graph
-from oddfactor.factor import DEFAULT_MAX_EDGES
+from oddfactor.cli import DEFAULT_MAX_EDGES
 
 
 def pytest_configure(config):

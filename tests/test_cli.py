@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from oddfactor import serialize_edge_list, complete_graph, cycle_graph
+from oddfactor import FactorCertificate, serialize_edge_list, complete_graph, cycle_graph
 from oddfactor.cli import main, parse_construction
 
 
@@ -148,15 +148,49 @@ def test_find_factor_exit_codes(capsys, tmp_path):
     assert code == 3
     assert json.loads(out)["kind"] == "violation"
 
+    code, out, err = run(capsys, "find-factor", "K6", "--b", "1", "--max-edges", "10")
+    assert code == 2
+    assert out == ""
+    assert "exceeds the search guard" in err
+
 
 def test_decider_contradiction_is_reported(capsys, monkeypatch):
     # a factor decider that wrongly says "no" on C6, where the criterion holds
-    monkeypatch.setattr("oddfactor.cli.find_odd_factor", lambda g, b, max_edges: None)
+    monkeypatch.setattr("oddfactor.cli.find_odd_factor", lambda g, b: None)
     for command in ("find-factor", "check"):
         code, out, err = run(capsys, command, "C6", "--b", "1")
         assert code == 4
         assert out == ""
         assert "deciders disagree" in err
+
+
+def test_find_factor_rejects_bogus_certificate(capsys, monkeypatch):
+    # a factor decider whose certificate uses edges C6 does not have
+    bogus = FactorCertificate(edges=((0, 3), (1, 4), (2, 5)), degrees=(1,) * 6)
+    monkeypatch.setattr("oddfactor.cli.find_odd_factor", lambda g, b: bogus)
+    code, out, err = run(capsys, "find-factor", "C6", "--b", "1")
+    assert code == 4
+    assert out == ""
+    assert "factor certificate rejected" in err
+    assert "deciders disagree" in err
+
+
+def test_benchmark_argument_shapes(capsys, monkeypatch):
+    # the argument shapes perfbench/workloads.py sends, so that a dropped or
+    # renamed flag fails here rather than in a benchmark run
+    import io
+
+    text = serialize_edge_list(cycle_graph(6))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "find-factor", "-", "--b", "1", "--max-edges", "6")
+    assert code == 0 and json.loads(out)["kind"] == "factor"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "check", "-", "--b", "1", "--max-n", "6")
+    assert code == 0 and json.loads(out) == {"kind": "holds"}
+    code, out, err = run(
+        capsys, "verify", "campaign", "--trials", "2", "--master-seed", "7", "--jobs", "1"
+    )
+    assert code == 0 and json.loads(out)["trials"] == 2
 
 
 def test_cli_imports_only_numpy_beyond_stdlib():
@@ -182,13 +216,24 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
-def test_determinism(capsys):
-    outs = []
+def test_determinism(capsys, monkeypatch):
+    # the parser is built once per process, at import, so main never builds
+    # one, and interleaved calls must not leak state into each other
+    monkeypatch.setattr("oddfactor.cli._build_parser", None)
+    commands = [
+        ("threshold", "--r", "7", "--b", "3", "--format", "json"),
+        ("construct", "H:r=5,b=1"),
+        ("spectrum", "M6", "--format", "text"),
+        ("check", "C7", "--b", "1"),
+        ("find-factor", "H:r=4,b=1", "--b", "1", "--digits", "3"),
+        ("check", "K4", "--b", "3", "--max-n", "4"),
+        ("find-factor", "C6", "--b", "1"),
+    ]
+    rounds = []
     for _ in range(2):
-        code, out, err = run(capsys, "threshold", "--r", "7", "--b", "3", "--format", "json")
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
+        rounds.append([run(capsys, *argv)[:2] for argv in commands])
+    assert rounds[0] == rounds[1]
+    assert [code for code, _ in rounds[0]] == [0, 0, 0, 3, 3, 0, 0]
 
 
 def test_verify_sharpness(capsys):

@@ -82,8 +82,6 @@ def test_find_odd_factor_star_none():
 def test_find_odd_factor_guards():
     with pytest.raises(ValueError):
         find_odd_factor(cycle_graph(6), 4)
-    with pytest.raises(ValueError):
-        find_odd_factor(complete_graph(6), 1, max_edges=10)
 
 
 def test_find_odd_factor_trivial_graphs():
@@ -102,6 +100,8 @@ def test_verify_certificate_reasons():
     assert not bad and "degree 0" in bad.reason
     bad = verify_certificate(g, 1, FactorCertificate(((0, 2), (1, 4), (3, 5)), (1,) * 6))
     assert not bad and "not in the host graph" in bad.reason
+    bad = verify_certificate(g, 1, FactorCertificate(((0, 1), (2, 2), (4, 5)), (1,) * 6))
+    assert not bad and bad.reason == "edge (2, 2) not in the host graph"
 
 
 def test_deciders_agree_exhaustively_n4():
@@ -123,7 +123,7 @@ def test_deciders_agree_on_random_graphs():
         g = random_graph(rng, rng.randrange(1, 13), rng.choice([0.2, 0.4, 0.6]))
         for b in (1, 3, 5):
             via_criterion = check_amahashi(g, b) is None
-            cert = find_odd_factor(g, b, max_edges=len(g.edges))
+            cert = find_odd_factor(g, b)
             via_search = cert is not None
             via_dfs = dfs_odd_factor(g, b, max_edges=len(g.edges)) is not None
             assert via_criterion == via_search == via_dfs, f"disagree on {g.edges} b={b}"
@@ -157,8 +157,8 @@ def test_degree_gadget_cases():
     big = barrier_cubic(81)
     assert big.n == 244
     for g in (cubic_no_matching_16(), big):
-        assert find_odd_factor(g, 1, max_edges=len(g.edges)) is None
-        cert = find_odd_factor(g, 3, max_edges=len(g.edges))
+        assert find_odd_factor(g, 1) is None
+        cert = find_odd_factor(g, 3)
         assert cert is not None and verify_certificate(g, 3, cert)
         assert max(cert.degrees) == 3
 
@@ -221,7 +221,7 @@ def test_certificates_always_verify():
     for _ in range(120):
         g = random_graph(rng, rng.choice([4, 6, 8, 10]), 0.5)
         for b in (1, 3):
-            cert = find_odd_factor(g, b, max_edges=len(g.edges))
+            cert = find_odd_factor(g, b)
             if cert is not None:
                 assert verify_certificate(g, b, cert)
                 assert set(cert.edges) <= set(g.edges)

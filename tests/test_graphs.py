@@ -26,9 +26,9 @@ from oddfactor import (
     odd_component_count,
     parse_edge_list,
     serialize_edge_list,
-    standard_graph,
     to_dot,
 )
+from oddfactor.cli import parse_construction
 from conftest import graphs, random_graph
 
 
@@ -54,17 +54,17 @@ def test_matching_complement_is_a_four_cycle():
     assert complement(g).edges == ((0, 1), (2, 3))
 
 
-def test_standard_graph_dispatch_and_errors():
-    assert standard_graph("complete", 3) == complete_graph(3)
-    assert standard_graph("empty", 2) == empty_graph(2)
+def test_construction_spec_dispatch_and_errors():
+    assert parse_construction("K3") == complete_graph(3)
+    assert parse_construction("E2") == empty_graph(2)
     with pytest.raises(GraphError):
-        standard_graph("cycle", 2)
+        parse_construction("C2")
     with pytest.raises(GraphError):
-        standard_graph("matching_complement_part", 3)
+        parse_construction("M3")
     with pytest.raises(GraphError):
-        standard_graph("complete", 0)
-    with pytest.raises(GraphError):
-        standard_graph("petersen", 10)
+        parse_construction("K0")
+    with pytest.raises(ValueError):
+        parse_construction("P10")
 
 
 def test_zero_vertex_graphs():
