@@ -18,6 +18,8 @@ import os
 import re
 import sys
 
+# spectral and verify load numpy, so only the spectrum and verify handlers
+# import them; the other commands start without it
 from .factor import (
     DEFAULT_MAX_N,
     FactorCertificate,
@@ -37,21 +39,12 @@ from .graphs import (
     serialize_edge_list,
     to_dot,
 )
-from .spectral import adjacency_matrix, eigenvalues_sym
 from .thresholds import (
     DegenerateConstructionError,
     build_extremal,
     lwy_threshold,
     prior_1factor_thresholds,
     threshold_params,
-)
-from .verify import (
-    TheoremViolation,
-    bound_sweep,
-    case2_polynomial_check,
-    randomized_theorem_campaign,
-    sharpness_check,
-    sweep_to_csv,
 )
 
 EXIT_OK = 0
@@ -108,6 +101,17 @@ def _json_line(payload: dict, digits: int) -> str:
     return json.dumps(_round_floats(payload, digits)) + "\n"
 
 
+def _digits(text: str) -> int:
+    """argparse type of every --digits flag: a non-negative int."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 # a size check on find-factor's input; the decider itself is polynomial
 DEFAULT_MAX_EDGES = 64
 
@@ -130,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="adjacency eigenvalues of a graph")
     p.add_argument("input", nargs="?", default="-", help="edge-list file, '-', or construction spec")
     p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--digits", type=int, default=9)
+    p.add_argument("--digits", type=_digits, default=9)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_spectrum)
 
@@ -138,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--format", choices=["json", "text"], default="text")
-    p.add_argument("--digits", type=int, default=9)
+    p.add_argument("--digits", type=_digits, default=9)
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser(
@@ -149,14 +153,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
-    p.add_argument("--digits", type=int, default=9)
+    p.add_argument("--digits", type=_digits, default=9)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("find-factor", help="exact polynomial decider for an odd [1,b]-factor")
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
-    p.add_argument("--digits", type=int, default=9)
+    p.add_argument("--digits", type=_digits, default=9)
     p.set_defaults(func=_cmd_find_factor)
 
     p = sub.add_parser("verify", help="run the verification harness")
@@ -165,13 +169,13 @@ def _build_parser() -> argparse.ArgumentParser:
     v = vsub.add_parser("sharpness", help="extremal graph attains the threshold")
     v.add_argument("--r", type=int, required=True)
     v.add_argument("--b", type=int, required=True)
-    v.add_argument("--digits", type=int, default=9)
+    v.add_argument("--digits", type=_digits, default=9)
     v.set_defaults(func=_cmd_verify_sharpness)
 
     v = vsub.add_parser("case2", help="quotient polynomial nonpositive at the threshold")
     v.add_argument("--r", type=int, required=True)
     v.add_argument("--b", type=int, required=True)
-    v.add_argument("--digits", type=int, default=9)
+    v.add_argument("--digits", type=_digits, default=9)
     v.set_defaults(func=_cmd_verify_case2)
 
     v = vsub.add_parser("sweep", help="bound comparison CSV over all (r, b)")
@@ -210,6 +214,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from .spectral import adjacency_matrix, eigenvalues_sym
+
     g = _read_graph(args.input)
     if g.n == 0:
         print("spectrum of the empty graph on 0 vertices is undefined", file=sys.stderr)
@@ -284,6 +290,8 @@ def _decide(g: Graph, b: int, max_n: int, digits: int, found) -> int:
 
 
 def _cmd_verify_sharpness(args) -> int:
+    from .verify import sharpness_check
+
     d = args.digits
     try:
         report = sharpness_check(args.r, args.b)
@@ -310,6 +318,8 @@ def _cmd_verify_sharpness(args) -> int:
 
 
 def _cmd_verify_case2(args) -> int:
+    from .verify import case2_polynomial_check
+
     d = args.digits
     report = case2_polynomial_check(args.r, args.b)
     print(f"r: {report.r}")
@@ -323,6 +333,8 @@ def _cmd_verify_case2(args) -> int:
 
 
 def _cmd_verify_sweep(args) -> int:
+    from .verify import bound_sweep, sweep_to_csv
+
     rows = bound_sweep(args.r_max)
     _emit(sweep_to_csv(rows), args.output)
     bad_sharp = [row for row in rows if row.sharpness_ok is False]
@@ -349,14 +361,22 @@ def _cmd_verify_sweep(args) -> int:
 
 
 def _cmd_verify_campaign(args) -> int:
-    summary = randomized_theorem_campaign(
-        trials=args.trials,
-        n_range=(args.n_min, args.n_max),
-        r_range=(args.r_min, args.r_max),
-        b_policy=args.b_policy,
-        master_seed=args.master_seed,
-        jobs=args.jobs,
-    )
+    from .verify import TheoremViolation, randomized_theorem_campaign
+
+    try:
+        summary = randomized_theorem_campaign(
+            trials=args.trials,
+            n_range=(args.n_min, args.n_max),
+            r_range=(args.r_min, args.r_max),
+            b_policy=args.b_policy,
+            master_seed=args.master_seed,
+            jobs=args.jobs,
+        )
+    except TheoremViolation as exc:
+        print(f"theorem violated: {exc}", file=sys.stderr)
+        if exc.graph_text:
+            print(exc.graph_text, file=sys.stderr)
+        return EXIT_THEOREM
     sys.stdout.write(json.dumps(summary.to_json_dict()) + "\n")
     return EXIT_OK
 
@@ -371,11 +391,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except TheoremViolation as exc:
-        print(f"theorem violated: {exc}", file=sys.stderr)
-        if exc.graph_text:
-            print(exc.graph_text, file=sys.stderr)
-        return EXIT_THEOREM
     except (GraphError, DegenerateConstructionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

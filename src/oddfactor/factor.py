@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .graphs import Graph, as_vertex_set, components, delete_vertices, edge_boundary
 
 __all__ = [
+    "DEFAULT_MAX_N",
     "FactorCertificate",
     "AmahashiViolation",
     "CertificateCheck",

@@ -129,7 +129,6 @@ class CampaignSummary:
     applicable: int
     found: int
     inapplicable: int
-    counterexamples: tuple
     reports: tuple
 
     def to_json_dict(self) -> dict:
@@ -138,7 +137,7 @@ class CampaignSummary:
             "applicable": self.applicable,
             "found": self.found,
             "inapplicable": self.inapplicable,
-            "counterexamples": list(self.counterexamples),
+            "counterexamples": [],  # the first one raises TheoremViolation
         }
 
 
@@ -445,6 +444,8 @@ def randomized_theorem_campaign(
     """
     n_lo, n_hi = n_range
     r_lo, r_hi = r_range
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     if r_lo < 3:
         raise ValueError(f"r range must start at 3 or above, got {r_lo}")
     specs = [
@@ -477,6 +478,5 @@ def randomized_theorem_campaign(
         applicable=applicable,
         found=found,
         inapplicable=inapplicable,
-        counterexamples=(),
         reports=tuple(reports),
     )

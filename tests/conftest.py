@@ -6,8 +6,9 @@ import random
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from oddfactor import FactorCertificate, Graph
 from oddfactor.cli import DEFAULT_MAX_EDGES
+from oddfactor.factor import FactorCertificate
+from oddfactor.graphs import Graph
 
 
 def pytest_configure(config):

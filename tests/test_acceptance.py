@@ -12,25 +12,23 @@ import random
 
 import pytest
 
-from oddfactor import (
-    Graph,
+from oddfactor.factor import check_amahashi, find_odd_factor
+from oddfactor.graphs import Graph, induced_subgraph
+from oddfactor.spectral import (
     adjacency_matrix,
-    build_extremal,
-    case2_polynomial_check,
-    check_amahashi,
     eigenvalues_sym,
-    extremal_partition,
-    find_odd_factor,
-    induced_subgraph,
     is_equitable,
-    lwy_threshold,
-    prior_1factor_thresholds,
     quotient_eigs_2x2,
     quotient_matrix,
-    randomized_theorem_campaign,
-    theorem_check,
+)
+from oddfactor.thresholds import (
+    build_extremal,
+    extremal_partition,
+    lwy_threshold,
+    prior_1factor_thresholds,
     threshold_params,
 )
+from oddfactor.verify import case2_polynomial_check, randomized_theorem_campaign, theorem_check
 from conftest import dfs_odd_factor, petersen_graph, random_graph
 
 R_MAX = 60

@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import json
 import math
 import os
@@ -6,8 +8,9 @@ import sys
 
 import pytest
 
-from oddfactor import FactorCertificate, serialize_edge_list, complete_graph, cycle_graph
 from oddfactor.cli import main, parse_construction
+from oddfactor.factor import FactorCertificate
+from oddfactor.graphs import complete_graph, cycle_graph, serialize_edge_list
 
 
 def run(capsys, *argv):
@@ -193,20 +196,62 @@ def test_benchmark_argument_shapes(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["trials"] == 2
 
 
-def test_cli_imports_only_numpy_beyond_stdlib():
+def test_only_spectrum_loads_numpy():
     # modules loaded before the import (site hooks) do not count, nor the
-    # alias multiprocessing gives __main__
-    code = (
-        "import json, sys; before = set(sys.modules); import oddfactor.cli; "
-        "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
-        " - set(sys.stdlib_module_names) - {'__mp_main__'})))"
-    )
+    # alias multiprocessing gives __main__; the last stdout line is the report
+    code = """
+import json, sys
+before = set(sys.modules)
+def third_party():
+    loaded = {m.split(".")[0] for m in set(sys.modules) - before}
+    return sorted(loaded - set(sys.stdlib_module_names) - {"__mp_main__", "oddfactor"})
+from oddfactor.cli import main
+seen = [third_party()]
+for argv in (
+    ["threshold", "--r", "5", "--b", "1"],
+    ["construct", "H:r=5,b=1"],
+    ["check", "C6", "--b", "1"],
+    ["find-factor", "C6", "--b", "1"],
+):
+    assert main(argv) == 0, argv
+seen.append(third_party())
+assert main(["spectrum", "K3"]) == 0
+seen.append(third_party())
+print(json.dumps(seen))
+"""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert json.loads(out) == ["numpy", "oddfactor"]
+    assert json.loads(out.splitlines()[-1]) == [[], [], ["numpy"]]
+
+
+def test_module_all_lists_exactly_its_public_definitions():
+    # the perfbench tracer wraps the functions each module's __all__ names
+    for layer in ("graphs", "spectral", "thresholds", "factor", "verify"):
+        module = importlib.import_module(f"oddfactor.{layer}")
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], layer
+        defined = {
+            name
+            for name, obj in vars(module).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == module.__name__
+        }
+        assert sorted(defined - set(module.__all__)) == [], layer
+
+
+def test_negative_digits_and_trials_exit_2(capsys):
+    for argv in (
+        ("threshold", "--r", "5", "--b", "1", "--digits", "-1"),
+        ("spectrum", "K3", "--digits", "-2"),
+        ("verify", "campaign", "--trials", "-3"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "non-negative" in err
 
 
 def test_usage_errors(capsys):
@@ -291,7 +336,7 @@ def test_campaign_counterexample_exits_4(capsys, monkeypatch):
     def boom(**kwargs):
         raise TheoremViolation("forced", graph_text="4 0\n")
 
-    monkeypatch.setattr("oddfactor.cli.randomized_theorem_campaign", boom)
+    monkeypatch.setattr("oddfactor.verify.randomized_theorem_campaign", boom)
     code, out, err = run(capsys, "verify", "campaign", "--trials", "1")
     assert code == 4
     assert "theorem violated" in err

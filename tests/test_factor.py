@@ -5,19 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddfactor import (
+from oddfactor.factor import (
     FactorCertificate,
-    Graph,
     check_amahashi,
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
-    empty_graph,
     find_odd_factor,
-    join,
     small_boundary_components,
     verify_certificate,
 )
+from oddfactor.graphs import Graph, complete_graph, cycle_graph, disjoint_union, empty_graph, join
 from conftest import (
     barrier_cubic,
     brute_force_has_odd_factor,

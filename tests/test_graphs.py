@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from oddfactor import (
+from oddfactor.cli import parse_construction
+from oddfactor.graphs import (
     DuplicateEdgeError,
     Graph,
     GraphError,
@@ -28,7 +29,6 @@ from oddfactor import (
     serialize_edge_list,
     to_dot,
 )
-from oddfactor.cli import parse_construction
 from conftest import graphs, random_graph
 
 

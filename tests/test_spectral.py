@@ -4,16 +4,18 @@ import random
 import numpy as np
 import pytest
 
-from oddfactor import (
+from oddfactor.graphs import (
     Graph,
-    adjacency_matrix,
     complete_graph,
     cycle_graph,
-    eigenvalues_sym,
     empty_graph,
     induced_subgraph,
-    is_equitable,
     join,
+)
+from oddfactor.spectral import (
+    adjacency_matrix,
+    eigenvalues_sym,
+    is_equitable,
     lambda_k,
     quotient_eigs_2x2,
     quotient_matrix,

@@ -2,18 +2,20 @@ import math
 
 import pytest
 
-from oddfactor import (
-    DegenerateConstructionError,
+from oddfactor.graphs import complete_graph
+from oddfactor.spectral import (
     adjacency_matrix,
-    build_extremal,
-    complete_graph,
     eigenvalues_sym,
-    extremal_partition,
     is_equitable,
-    lwy_threshold,
-    prior_1factor_thresholds,
     quotient_eigs_2x2,
     quotient_matrix,
+)
+from oddfactor.thresholds import (
+    DegenerateConstructionError,
+    build_extremal,
+    extremal_partition,
+    lwy_threshold,
+    prior_1factor_thresholds,
     threshold_params,
 )
 

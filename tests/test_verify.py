@@ -4,25 +4,21 @@ from dataclasses import replace
 
 import pytest
 
-from oddfactor import (
-    Graph,
+from oddfactor.factor import check_amahashi
+from oddfactor.graphs import Graph, complete_graph, components, cycle_graph, disjoint_union
+from oddfactor.spectral import lambda_k
+from oddfactor.thresholds import DegenerateConstructionError, threshold_params
+from oddfactor.verify import (
+    SWEEP_CSV_HEADER,
+    _trial_seed,
     bound_sweep,
     case2_polynomial_check,
-    check_amahashi,
-    complete_graph,
-    components,
-    cycle_graph,
-    disjoint_union,
-    lambda_k,
     random_regular,
     randomized_theorem_campaign,
     sharpness_check,
     sweep_to_csv,
     theorem_check,
-    threshold_params,
 )
-from oddfactor.thresholds import DegenerateConstructionError
-from oddfactor.verify import SWEEP_CSV_HEADER, _trial_seed
 from conftest import cubic_no_matching_16, petersen_graph, quartic_no_matching_22
 
 
@@ -261,7 +257,7 @@ def test_campaign_counts_and_invariant():
     assert summary.trials == 50
     assert summary.applicable + summary.inapplicable == 50
     assert summary.found == summary.applicable
-    assert summary.counterexamples == ()
+    assert summary.to_json_dict()["counterexamples"] == []
     for rep in summary.reports:
         if rep.implication_applicable:
             assert rep.factor_found is True
@@ -307,3 +303,5 @@ def test_campaign_b_policies():
 def test_campaign_rejects_bad_ranges():
     with pytest.raises(ValueError):
         randomized_theorem_campaign(5, r_range=(2, 4))
+    with pytest.raises(ValueError, match="trials must be non-negative"):
+        randomized_theorem_campaign(-3)
