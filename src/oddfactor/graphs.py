@@ -21,6 +21,7 @@ __all__ = [
     "DuplicateEdgeError",
     "as_vertex_set",
     "complete_graph",
+    "complete_minus",
     "cycle_graph",
     "empty_graph",
     "matching_complement",
@@ -88,14 +89,26 @@ class Graph:
             if u > v:
                 u, v = v, u
             canon.add((u, v))
+        self._fill(n, sorted(canon))
+
+    @classmethod
+    def _canonical(cls, n: int, edges) -> "Graph":
+        """Unchecked constructor for the library's own builders: edges must
+        already be sorted, unique and have u < v < n."""
+        g = cls.__new__(cls)
+        g._fill(n, edges)
+        return g
+
+    def _fill(self, n: int, edges) -> None:
         self.n = n
-        self.edges = tuple(sorted(canon))
+        self.edges = tuple(edges)
         self._edge_set = frozenset(self.edges)
         lists = [[] for _ in range(n)]
         for u, v in self.edges:
             lists[u].append(v)
             lists[v].append(u)
-        self.adj = tuple(tuple(sorted(ns)) for ns in lists)
+        # sorted edges with u < v reach each list in ascending order already
+        self.adj = tuple(map(tuple, lists))
 
     def degrees(self) -> tuple:
         return tuple(len(ns) for ns in self.adj)
@@ -153,7 +166,7 @@ def as_vertex_set(vertices: Iterable, n: int) -> VertexSet:
 def complete_graph(k: int) -> Graph:
     if k < 1:
         raise GraphError(f"complete graph needs k >= 1, got {k}")
-    return Graph(k, [(u, v) for u in range(k) for v in range(u + 1, k)])
+    return Graph._canonical(k, [(u, v) for u in range(k) for v in range(u + 1, k)])
 
 
 def cycle_graph(k: int) -> Graph:
@@ -173,18 +186,24 @@ def matching_complement(k: int) -> Graph:
     """Complement of a perfect matching on k vertices (k even): K_k minus the matching."""
     if k < 0 or k % 2 != 0:
         raise GraphError(f"matching complement needs even k >= 0, got {k}")
-    return complement(disjoint_union([complete_graph(2)] * (k // 2)))
+    return complete_minus(k, {(i, i + 1) for i in range(0, k, 2)})
+
+
+def complete_minus(k: int, missing) -> Graph:
+    """K_k without the pairs (u, v), u < v, in the set `missing`."""
+    if k < 0:
+        raise GraphError(f"complete graph minus edges needs k >= 0, got {k}")
+    edges = [
+        (u, v)
+        for u in range(k)
+        for v in range(u + 1, k)
+        if (u, v) not in missing
+    ]
+    return Graph._canonical(k, edges)
 
 
 def complement(g: Graph) -> Graph:
-    present = g._edge_set
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if (u, v) not in present
-    ]
-    return Graph(g.n, edges)
+    return complete_minus(g.n, g._edge_set)
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
@@ -202,7 +221,7 @@ def disjoint_union(parts: Iterable) -> Graph:
     for part in parts:
         edges += [(u + off, v + off) for u, v in part.edges]
         off += part.n
-    return Graph(off, edges)
+    return Graph._canonical(off, edges)
 
 
 def _subgraph_on(g: Graph, keep: VertexSet):
@@ -212,7 +231,7 @@ def _subgraph_on(g: Graph, keep: VertexSet):
         for u, v in g.edges
         if u in mapping and v in mapping
     ]
-    return Graph(len(keep), edges), mapping
+    return Graph._canonical(len(keep), edges), mapping
 
 
 def delete_vertices(g: Graph, s: Iterable):
@@ -310,7 +329,7 @@ def parse_edge_list(text: str) -> Graph:
             raise DuplicateEdgeError(f"duplicate edge {key}")
         seen.add(key)
         edges.append(key)
-    return Graph(n, edges)
+    return Graph._canonical(n, sorted(edges))
 
 
 def serialize_edge_list(g: Graph) -> str:

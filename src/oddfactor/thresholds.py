@@ -16,14 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .graphs import (
-    Graph,
-    complement,
-    complete_graph,
-    cycle_graph,
-    join,
-    matching_complement,
-)
+from .graphs import Graph, complete_minus
 
 __all__ = [
     "ThresholdParams",
@@ -140,19 +133,23 @@ def build_extremal(p: ThresholdParams) -> Graph:
     r even: clique of size r+1-eta joined to a matching complement on eta
     vertices. r odd: cycle complement on eta vertices joined to a matching
     complement on r+2-eta vertices; undefined when eta < 3 since a cycle
-    needs at least three vertices.
+    needs at least three vertices. Either way H is a complete graph minus a
+    sparse set of missing edges, which is how it is built.
     """
     r, eta = p.r, p.eta
     if r % 2 == 0:
-        h = join(complete_graph(r + 1 - eta), matching_complement(eta))
+        # K_{r+1} minus a perfect matching on its last eta vertices
+        missing = {(i, i + 1) for i in range(r + 1 - eta, r + 1, 2)}
     else:
         if eta < 3:
             raise DegenerateConstructionError(
                 f"no extremal construction for odd r={r} with eta={eta} < 3"
             )
-        h = join(complement(cycle_graph(eta)), matching_complement(r + 2 - eta))
-
+        # K_{r+2} minus a cycle on 0..eta-1 and a perfect matching on the rest
+        missing = {(i, i + 1) for i in range(eta - 1)} | {(0, eta - 1)}
+        missing |= {(i, i + 1) for i in range(eta, r + 2, 2)}
     expected_n = r + 1 + p.parity_offset
+    h = complete_minus(expected_n, missing)
     if h.n != expected_n:
         raise AssertionError(f"extremal graph has {h.n} vertices, expected {expected_n}")
     if 2 * len(h.edges) != r * expected_n - eta:

@@ -196,7 +196,7 @@ def random_regular(n: int, r: int, seed: int, max_retries: int = 10_000) -> Grap
     for _ in range(max_retries + 1):
         edges = _pairing_attempt(n, r, rng)
         if edges is not None:
-            g = Graph(n, edges)
+            g = Graph._canonical(n, sorted(edges))
             if len(components(g)) == 1:
                 return g
     raise RuntimeError(
@@ -419,10 +419,7 @@ def _campaign_trial(args) -> TrialReport:
         b = r - 1 if (r - 1) % 2 == 1 else r - 2
     else:
         raise ValueError(f"unknown b_policy {b_policy!r}")
-    n_choices = [n for n in range(n_lo, n_hi + 1) if n % 2 == 0 and n > r]
-    if not n_choices:
-        raise ValueError(f"no even n in [{n_lo}, {n_hi}] exceeds r={r}")
-    n = rng.choice(n_choices)
+    n = rng.choice([n for n in range(n_lo, n_hi + 1) if n % 2 == 0 and n > r])
     g = random_regular(n, r, seed=seed)
     return theorem_check(g, b, seed=seed)
 
@@ -439,6 +436,8 @@ def randomized_theorem_campaign(
 
     Each trial derives its parameters and generator seed from (master_seed,
     index), so the outcome is reproducible and independent of worker count.
+    The ranges are checked before any trial runs: r_range must be non-empty
+    with r >= 3, and n_range must hold an even n above the largest r.
     Any applicable trial without a factor aborts with a TheoremViolation
     carrying a full reproducer.
     """
@@ -448,6 +447,14 @@ def randomized_theorem_campaign(
         raise ValueError(f"trials must be non-negative, got {trials}")
     if r_lo < 3:
         raise ValueError(f"r range must start at 3 or above, got {r_lo}")
+    if r_lo > r_hi:
+        raise ValueError(f"r range is empty: r_min {r_lo} exceeds r_max {r_hi}")
+    top_n = n_hi - n_hi % 2
+    if top_n < n_lo or top_n <= r_hi:
+        # checked against r_max so that every r the trials may draw fits
+        raise ValueError(f"no even n in [{n_lo}, {n_hi}] exceeds r_max {r_hi}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     specs = [
         (master_seed, i, n_lo, n_hi, r_lo, r_hi, b_policy) for i in range(trials)
     ]

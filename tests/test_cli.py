@@ -330,6 +330,24 @@ def test_verify_campaign(capsys):
     assert payload["counterexamples"] == []
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (("--r-min", "7", "--r-max", "3"), "r range is empty"),
+        (("--n-min", "20", "--n-max", "8"), "no even n in [20, 8]"),
+        (("--jobs", "0"), "jobs must be at least 1"),
+        (("--jobs", "-2"), "jobs must be at least 1"),
+    ],
+)
+@pytest.mark.parametrize("trials", ["3", "0"])
+def test_verify_campaign_rejects_bad_arguments(capsys, trials, extra, message):
+    code, out, err = run(capsys, "verify", "campaign", "--trials", trials, *extra)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "randrange" not in err
+
+
 def test_campaign_counterexample_exits_4(capsys, monkeypatch):
     from oddfactor.verify import TheoremViolation
 

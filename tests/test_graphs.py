@@ -15,6 +15,7 @@ from oddfactor.graphs import (
     VertexRangeError,
     complement,
     complete_graph,
+    complete_minus,
     components,
     cycle_graph,
     delete_vertices,
@@ -29,6 +30,7 @@ from oddfactor.graphs import (
     serialize_edge_list,
     to_dot,
 )
+from oddfactor.verify import random_regular
 from conftest import graphs, random_graph
 
 
@@ -67,6 +69,43 @@ def test_construction_spec_dispatch_and_errors():
         parse_construction("P10")
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: complete_graph(1),
+        lambda: complete_graph(6),
+        lambda: complete_minus(0, ()),
+        lambda: complete_minus(5, {(0, 1), (3, 4), (4, 3), (2, 9)}),
+        lambda: complement(cycle_graph(5)),
+        lambda: complement(Graph(4, [(3, 2)])),
+        lambda: matching_complement(0),
+        lambda: matching_complement(6),
+        lambda: disjoint_union([]),
+        lambda: disjoint_union([cycle_graph(3), empty_graph(2), complete_graph(2)]),
+        lambda: parse_edge_list("0 0\n"),
+        lambda: parse_edge_list("5 4\n4 1\n0 3\n1 0\n3 2\n"),
+        lambda: induced_subgraph(cycle_graph(5), [])[0],
+        lambda: induced_subgraph(complete_graph(6), [5, 1, 3])[0],
+        lambda: delete_vertices(cycle_graph(6), [2, 4])[0],
+        lambda: random_regular(8, 3, seed=0),
+        lambda: random_regular(10, 4, seed=1),
+        lambda: random_regular(12, 5, seed=2),
+    ],
+)
+def test_unchecked_builders_match_checked_constructor(build):
+    # builders skip re-validation; the checked constructor is the reference
+    g = build()
+    assert g.check_invariants()
+    checked = Graph(g.n, g.edges)
+    assert g == checked
+    assert g.adj == checked.adj
+
+
+def test_complete_minus_rejects_negative_order():
+    with pytest.raises(GraphError):
+        complete_minus(-1, ())
+
+
 def test_zero_vertex_graphs():
     assert empty_graph(0).n == 0
     assert matching_complement(0).n == 0
@@ -78,6 +117,8 @@ def test_graph_constructor_errors():
         Graph(3, [(1, 1)])
     with pytest.raises(VertexRangeError):
         Graph(3, [(0, 3)])
+    with pytest.raises(VertexRangeError):
+        Graph(3, [(-1, 0)])
     with pytest.raises(VertexRangeError):
         Graph(-1)
     # set semantics: duplicates and reversed pairs collapse
@@ -215,10 +256,14 @@ def test_parse_error_kinds():
         parse_edge_list("x y\n")
     with pytest.raises(MalformedHeaderError):
         parse_edge_list("3\n")
+    with pytest.raises(MalformedHeaderError):
+        parse_edge_list("-1 0\n")
     with pytest.raises(MalformedEdgeError):
         parse_edge_list("3 2\n0 1")
     with pytest.raises(MalformedEdgeError):
         parse_edge_list("3 1\n0 1 2")
+    with pytest.raises(MalformedEdgeError):
+        parse_edge_list("3 1\n0 x")
     with pytest.raises(SelfLoopError):
         parse_edge_list("2 1\n0 0")
     with pytest.raises(VertexRangeError):

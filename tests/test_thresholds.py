@@ -2,7 +2,13 @@ import math
 
 import pytest
 
-from oddfactor.graphs import complete_graph
+from oddfactor.graphs import (
+    complement,
+    complete_graph,
+    cycle_graph,
+    join,
+    matching_complement,
+)
 from oddfactor.spectral import (
     adjacency_matrix,
     eigenvalues_sym,
@@ -133,6 +139,24 @@ def test_build_extremal_odd_r():
 
 def test_build_extremal_eta_zero_is_complete():
     assert build_extremal(threshold_params(4, 3)) == complete_graph(5)
+
+
+def test_build_extremal_matches_join_oracle():
+    # the construction as the paper states it: two blocks joined
+    pairs = 0
+    for r in range(3, 61):
+        for b in range(1, r, 2):
+            p = threshold_params(r, b)
+            eta = p.eta
+            if r % 2 == 0:
+                oracle = join(complete_graph(r + 1 - eta), matching_complement(eta))
+            elif eta >= 3:
+                oracle = join(complement(cycle_graph(eta)), matching_complement(r + 2 - eta))
+            else:
+                continue
+            assert build_extremal(p) == oracle, (r, b)
+            pairs += 1
+    assert pairs == 609
 
 
 def test_build_extremal_degenerate_cases():

@@ -303,5 +303,28 @@ def test_campaign_b_policies():
 def test_campaign_rejects_bad_ranges():
     with pytest.raises(ValueError):
         randomized_theorem_campaign(5, r_range=(2, 4))
+    # ranges are checked before any trial runs, so zero trials are rejected too
+    for trials in (3, 0):
+        with pytest.raises(ValueError, match="r range is empty"):
+            randomized_theorem_campaign(trials, r_range=(7, 3))
+        with pytest.raises(ValueError, match="no even n"):
+            randomized_theorem_campaign(trials, n_range=(20, 8))
+        # n must exceed the largest r the range allows, not only the drawn one
+        with pytest.raises(ValueError, match="no even n"):
+            randomized_theorem_campaign(trials, n_range=(4, 9), r_range=(3, 8))
+        with pytest.raises(ValueError, match="no even n"):
+            randomized_theorem_campaign(trials, n_range=(7, 7), r_range=(3, 5))
     with pytest.raises(ValueError, match="trials must be non-negative"):
         randomized_theorem_campaign(-3)
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_campaign_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        randomized_theorem_campaign(4, jobs=jobs)
+
+
+def test_campaign_accepts_tightest_ranges():
+    summary = randomized_theorem_campaign(3, n_range=(8, 8), r_range=(7, 7))
+    assert summary.trials == 3
+    assert {rep.n for rep in summary.reports} == {8}
