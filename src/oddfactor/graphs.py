@@ -1,14 +1,16 @@
 """Immutable simple undirected graphs on vertices 0..n-1.
 
 Everything downstream (spectra, thresholds, factor search) consumes this
-representation: a canonical sorted edge set plus cached sorted adjacency
-lists. All construction helpers return new values; nothing mutates a graph
-after __init__.
+representation: a sorted tuple of (u, v) edges with u < v, and sorted
+adjacency tuples derived from it, which also answer edge queries. All
+construction helpers return new values; nothing mutates a graph after
+__init__.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
 from typing import Iterable
 
 __all__ = [
@@ -31,6 +33,7 @@ __all__ = [
     "delete_vertices",
     "induced_subgraph",
     "components",
+    "is_connected",
     "odd_component_count",
     "edge_boundary",
     "parse_edge_list",
@@ -72,7 +75,7 @@ class Graph:
     with u < v; equality and hashing are label-sensitive (no isomorphism).
     """
 
-    __slots__ = ("n", "edges", "adj", "_edge_set")
+    __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, edges: Iterable = ()):
         n = int(n)
@@ -102,7 +105,6 @@ class Graph:
     def _fill(self, n: int, edges) -> None:
         self.n = n
         self.edges = tuple(edges)
-        self._edge_set = frozenset(self.edges)
         lists = [[] for _ in range(n)]
         for u, v in self.edges:
             lists[u].append(v)
@@ -114,9 +116,9 @@ class Graph:
         return tuple(len(ns) for ns in self.adj)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return ((u, v) if u < v else (v, u)) in self._edge_set
+        # the guard keeps a negative u from indexing adj from the end; adj[u]
+        # never holds u itself or a vertex outside 0..n-1
+        return 0 <= u < self.n and v in self.adj[u]
 
     def regular_degree(self):
         """Common degree if the graph is regular, else None (n=0 gives 0)."""
@@ -129,12 +131,13 @@ class Graph:
         """Revalidate internal consistency; used by tests."""
         for u, v in self.edges:
             assert 0 <= u < v < self.n
-        assert len(set(self.edges)) == len(self.edges)
+        edge_set = set(self.edges)
+        assert len(edge_set) == len(self.edges)
         for v, ns in enumerate(self.adj):
             assert list(ns) == sorted(set(ns))
             for w in ns:
                 assert w != v
-                assert (min(v, w), max(v, w)) in self._edge_set
+                assert (min(v, w), max(v, w)) in edge_set
         assert sum(self.degrees()) == 2 * len(self.edges)
         return True
 
@@ -166,7 +169,7 @@ def as_vertex_set(vertices: Iterable, n: int) -> VertexSet:
 def complete_graph(k: int) -> Graph:
     if k < 1:
         raise GraphError(f"complete graph needs k >= 1, got {k}")
-    return Graph._canonical(k, [(u, v) for u in range(k) for v in range(u + 1, k)])
+    return Graph._canonical(k, combinations(range(k), 2))
 
 
 def cycle_graph(k: int) -> Graph:
@@ -193,17 +196,12 @@ def complete_minus(k: int, missing) -> Graph:
     """K_k without the pairs (u, v), u < v, in the set `missing`."""
     if k < 0:
         raise GraphError(f"complete graph minus edges needs k >= 0, got {k}")
-    edges = [
-        (u, v)
-        for u in range(k)
-        for v in range(u + 1, k)
-        if (u, v) not in missing
-    ]
-    return Graph._canonical(k, edges)
+    # combinations yields the pairs sorted, with u < v
+    return Graph._canonical(k, [e for e in combinations(range(k), 2) if e not in missing])
 
 
 def complement(g: Graph) -> Graph:
-    return complete_minus(g.n, g._edge_set)
+    return complete_minus(g.n, set(g.edges))
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
@@ -271,6 +269,24 @@ def components(g: Graph) -> list:
                     queue.append(w)
         out.append(tuple(sorted(comp)))
     return out
+
+
+def is_connected(g: Graph) -> bool:
+    """True iff g has exactly one component (the graph on no vertices has none)."""
+    if g.n == 0:
+        return False
+    seen = [False] * g.n
+    seen[0] = True
+    stack = [0]
+    count = 1
+    adj = g.adj
+    while stack:
+        for w in adj[stack.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                count += 1
+                stack.append(w)
+    return count == g.n
 
 
 def odd_component_count(g: Graph) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -56,25 +57,25 @@ def sym_matrix(entries) -> np.ndarray:
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
+    ends = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * len(g.edges)).reshape(-1, 2)
     a = np.zeros((g.n, g.n), dtype=np.float64)
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
+    # each edge sets (u, v) and (v, u) in one store
+    a[ends.ravel(), ends[:, ::-1].ravel()] = 1.0
     return a
 
 
 def eigenvalues_sym(m) -> Spectrum:
     """All eigenvalues of a symmetric matrix, sorted nonincreasing."""
-    a = np.array(m, dtype=np.float64)
+    a = np.asarray(m, dtype=np.float64)  # read only, so a float array is not copied
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ValueError("matrix must have order >= 1")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    if not np.array_equal(a, a.T):
+    if not (a == a.T).all():
         raise ValueError("matrix must be exactly symmetric; see sym_matrix()")
-    return Spectrum(values=tuple(float(x) for x in np.linalg.eigvalsh(a)[::-1]))
+    return Spectrum(values=tuple(np.linalg.eigvalsh(a)[::-1].tolist()))
 
 
 def lambda_k(g: Graph, k: int) -> float:

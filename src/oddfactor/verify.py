@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .factor import find_odd_factor
-from .graphs import Graph, components, serialize_edge_list
+from .graphs import Graph, is_connected, serialize_edge_list
 from .spectral import (
     adjacency_matrix,
     eigenvalues_sym,
@@ -141,39 +140,58 @@ class CampaignSummary:
         }
 
 
-def _suitable_pair_exists(edges: set, leftover: dict) -> bool:
+def _suitable_pair_exists(edges: set, leftover: dict, n: int) -> bool:
     verts = sorted(leftover)
     for i, u in enumerate(verts):
         for v in verts[i + 1 :]:
-            if (u, v) not in edges:
+            if u * n + v not in edges:
                 return True
     return False
 
 
-def _pairing_attempt(n: int, r: int, rng: random.Random):
-    """One pairing-model attempt: shuffle stubs, keep good pairs, re-pair the
-    colliding stubs until none remain or no simple pair can be formed."""
+def _shuffle(x: list, bits: list, getrandbits) -> None:
+    """random.Random.shuffle(x) on the same getrandbits stream.
+
+    Fisher-Yates: for i = len(x) - 1 down to 1, j is drawn from
+    (i + 1).bit_length() random bits and redrawn while j > i. bits holds
+    (i + 1).bit_length() for i = L - 1 down to 0, for some L >= len(x), so
+    the shuffle of a shorter list reads its tail.
+    """
+    for i, k in zip(range(len(x) - 1, 0, -1), bits[len(bits) - len(x) :]):
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
+def _pairing_attempt(n: int, base: list, bits: list, getrandbits):
+    """One pairing-model attempt: shuffle the stubs, keep good pairs, re-pair
+    the colliding stubs until none remain or no simple pair can be formed.
+    Edges come back as codes u * n + v with u < v."""
     edges: set = set()
-    stubs = [v for v in range(n) for _ in range(r)]
+    stubs = base.copy()
     rounds = 0
     while stubs:
         rounds += 1
         if rounds > 1000:
             return None
+        # its insertion order is the next round's stub order, which the
+        # shuffle turns into the next pairs
         collisions: dict = {}
-        rng.shuffle(stubs)
+        _shuffle(stubs, bits, getrandbits)
         it = iter(stubs)
         for u, v in zip(it, it):
             if u > v:
                 u, v = v, u
-            if u != v and (u, v) not in edges:
-                edges.add((u, v))
+            code = u * n + v
+            if u != v and code not in edges:
+                edges.add(code)
             else:
                 collisions[u] = collisions.get(u, 0) + 1
                 collisions[v] = collisions.get(v, 0) + 1
         if not collisions:
             return edges
-        if not _suitable_pair_exists(edges, collisions):
+        if not _suitable_pair_exists(edges, collisions, n):
             return None
         stubs = [v for v, k in collisions.items() for _ in range(k)]
     return edges
@@ -185,19 +203,26 @@ def random_regular(n: int, r: int, seed: int, max_retries: int = 10_000) -> Grap
     Stubs are shuffled and paired; self-loops and repeated pairs are thrown
     back and re-paired, and the attempt restarts from scratch once no simple
     pair can be completed or the finished graph is disconnected, so every
-    graph returned is connected. Deterministic for a fixed seed. Raises after
-    max_retries restarts.
+    graph returned is connected. Raises after max_retries restarts.
+
+    The graph is a function of the seed through random.Random(seed)'s
+    getrandbits stream alone: every shuffle draws exactly the words
+    random.Random.shuffle draws on Python 3.10 and later, so the same seed
+    gives the same graph on every such version.
     """
     if r < 0 or r >= n:
         raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
     if (n * r) % 2 != 0:
         raise ValueError(f"n*r must be even, got n={n}, r={r}")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    base = [v for v in range(n) for _ in range(r)]
+    # built per call, not cached, so that no table outlives the graph
+    bits = list(map(int.bit_length, range(len(base), 0, -1)))
     for _ in range(max_retries + 1):
-        edges = _pairing_attempt(n, r, rng)
-        if edges is not None:
-            g = Graph._canonical(n, sorted(edges))
-            if len(components(g)) == 1:
+        codes = _pairing_attempt(n, base, bits, getrandbits)
+        if codes is not None:
+            g = Graph._canonical(n, [divmod(c, n) for c in sorted(codes)])
+            if is_connected(g):
                 return g
     raise RuntimeError(
         f"pairing model failed to produce a simple connected {r}-regular graph on {n} "
@@ -221,7 +246,7 @@ def theorem_check(g: Graph, b: int, seed: int | None = None) -> TrialReport:
     p = threshold_params(r, b)  # rejects r < 3, even b, b >= r
     spec = eigenvalues_sym(adjacency_matrix(g))
     lam3 = spec.values[2]
-    applicable = lam3 < p.rho - GUARD and len(components(g)) == 1
+    applicable = lam3 < p.rho - GUARD and is_connected(g)
     found = None
     if applicable:
         found = find_odd_factor(g, b) is not None
@@ -415,10 +440,8 @@ def _campaign_trial(args) -> TrialReport:
         b = rng.choice(range(1, r, 2))
     elif b_policy == "unit":
         b = 1
-    elif b_policy == "max":
+    else:  # "max"
         b = r - 1 if (r - 1) % 2 == 1 else r - 2
-    else:
-        raise ValueError(f"unknown b_policy {b_policy!r}")
     n = rng.choice([n for n in range(n_lo, n_hi + 1) if n % 2 == 0 and n > r])
     g = random_regular(n, r, seed=seed)
     return theorem_check(g, b, seed=seed)
@@ -436,8 +459,9 @@ def randomized_theorem_campaign(
 
     Each trial derives its parameters and generator seed from (master_seed,
     index), so the outcome is reproducible and independent of worker count.
-    The ranges are checked before any trial runs: r_range must be non-empty
-    with r >= 3, and n_range must hold an even n above the largest r.
+    The arguments are checked before any trial runs: r_range must be
+    non-empty with r >= 3, n_range must hold an even n above the largest r,
+    and b_policy must be "random", "unit" or "max".
     Any applicable trial without a factor aborts with a TheoremViolation
     carrying a full reproducer.
     """
@@ -453,12 +477,17 @@ def randomized_theorem_campaign(
     if top_n < n_lo or top_n <= r_hi:
         # checked against r_max so that every r the trials may draw fits
         raise ValueError(f"no even n in [{n_lo}, {n_hi}] exceeds r_max {r_hi}")
+    if b_policy not in ("random", "unit", "max"):
+        raise ValueError(f"unknown b_policy {b_policy!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     specs = [
         (master_seed, i, n_lo, n_hi, r_lo, r_hi, b_policy) for i in range(trials)
     ]
     if jobs > 1 and trials > 1:
+        # imported here so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_campaign_trial, specs, chunksize=8))
     else:

@@ -227,6 +227,29 @@ print(json.dumps(seen))
     assert json.loads(out.splitlines()[-1]) == [[], [], ["numpy"]]
 
 
+def test_only_a_parallel_campaign_loads_multiprocessing():
+    # the last stdout line is the report; sweep writes its CSV before it
+    code = """
+import json, sys
+pool = ("multiprocessing", "concurrent")
+def loaded():
+    return sorted({m.split(".")[0] for m in sys.modules} & set(pool))
+from oddfactor.cli import main
+assert main(["verify", "sweep", "--r-max", "6"]) == 0
+assert main(["verify", "campaign", "--trials", "4", "--jobs", "1"]) == 0
+seen = [loaded()]
+assert main(["verify", "campaign", "--trials", "4", "--jobs", "2"]) == 0
+seen.append(loaded())
+print(json.dumps(seen))
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert json.loads(out.splitlines()[-1]) == [[], ["concurrent", "multiprocessing"]]
+
+
 def test_module_all_lists_exactly_its_public_definitions():
     # the perfbench tracer wraps the functions each module's __all__ names
     for layer in ("graphs", "spectral", "thresholds", "factor", "verify"):

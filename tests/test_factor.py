@@ -97,6 +97,10 @@ def test_verify_certificate_reasons():
     assert not bad and "not in the host graph" in bad.reason
     bad = verify_certificate(g, 1, FactorCertificate(((0, 1), (2, 2), (4, 5)), (1,) * 6))
     assert not bad and bad.reason == "edge (2, 2) not in the host graph"
+    # vertices outside 0..n-1 are rejected as non-edges, never used as indices
+    for u, v in ((-1, 0), (0, -1), (-6, -5), (5, 6), (6, 7), (0, 6), (-1, -1), (6, 6)):
+        bad = verify_certificate(g, 1, FactorCertificate(((u, v),), (1,)))
+        assert not bad and "not in the host graph" in bad.reason, (u, v)
 
 
 def test_deciders_agree_exhaustively_n4():

@@ -23,6 +23,7 @@ from oddfactor.graphs import (
     edge_boundary,
     empty_graph,
     induced_subgraph,
+    is_connected,
     join,
     matching_complement,
     odd_component_count,
@@ -99,6 +100,34 @@ def test_unchecked_builders_match_checked_constructor(build):
     checked = Graph(g.n, g.edges)
     assert g == checked
     assert g.adj == checked.adj
+
+
+def test_complete_minus_without_missing_edges_is_complete():
+    for k in range(1, 8):
+        assert complete_minus(k, set()) == complete_graph(k)
+
+
+def test_has_edge_matches_edge_list():
+    rng = random.Random(3)
+    for _ in range(30):
+        g = random_graph(rng, rng.randrange(0, 9), 0.4)
+        edges = set(g.edges)
+        for u in range(-2, g.n + 2):
+            for v in range(-2, g.n + 2):
+                # loops, negative vertices and vertices >= n are never edges
+                assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+    assert not Graph(0).has_edge(0, 0)
+    assert not complete_graph(3).has_edge(-1, 2) and not complete_graph(3).has_edge(2, -1)
+    assert not complete_graph(3).has_edge(1, 1) and not complete_graph(3).has_edge(0, 3)
+
+
+def test_is_connected_agrees_with_components():
+    rng = random.Random(11)
+    for g in (empty_graph(0), empty_graph(1), empty_graph(2), complete_graph(1)):
+        assert is_connected(g) == (len(components(g)) == 1)
+    for _ in range(200):
+        g = random_graph(rng, rng.randrange(0, 10), rng.choice((0.15, 0.3, 0.6)))
+        assert is_connected(g) == (len(components(g)) == 1)
 
 
 def test_complete_minus_rejects_negative_order():

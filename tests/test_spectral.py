@@ -35,6 +35,19 @@ def test_adjacency_matrix():
     assert adjacency_matrix(empty_graph(2)).tolist() == [[0, 0], [0, 0]]
     a = adjacency_matrix(cycle_graph(3))
     assert np.array_equal(a, np.ones((3, 3)) - np.eye(3))
+    for k in (0, 1, 3):
+        assert np.array_equal(adjacency_matrix(empty_graph(k)), np.zeros((k, k)))
+
+
+def test_adjacency_matrix_matches_entrywise_reference():
+    rng = random.Random(8)
+    for _ in range(40):
+        g = random_graph(rng, rng.randrange(1, 12), rng.random())
+        ref = np.zeros((g.n, g.n))
+        for u, v in g.edges:
+            ref[u, v] = ref[v, u] = 1.0
+        a = adjacency_matrix(g)
+        assert a.dtype == np.float64 and np.array_equal(a, ref)
 
 
 def test_closed_form_spectra():
