@@ -153,14 +153,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
-    p.add_argument("--digits", type=_digits, default=9)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("find-factor", help="exact polynomial decider for an odd [1,b]-factor")
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
-    p.add_argument("--digits", type=_digits, default=9)
     p.set_defaults(func=_cmd_find_factor)
 
     p = sub.add_parser("verify", help="run the verification harness")
@@ -251,7 +249,7 @@ def _cmd_check(args) -> int:
     g = _read_graph(args.input)
     subset_guard(g, args.b, args.max_n)
     # a verified factor means the criterion holds (Amahashi's theorem)
-    return _decide(g, args.b, args.max_n, args.digits, lambda cert: {"kind": "holds"})
+    return _decide(g, args.b, args.max_n, lambda cert: {"kind": "holds"})
 
 
 def _cmd_find_factor(args) -> int:
@@ -259,10 +257,10 @@ def _cmd_find_factor(args) -> int:
     m = len(g.edges)
     if m > args.max_edges:
         raise ValueError(f"edge count {m} exceeds the search guard {args.max_edges}")
-    return _decide(g, args.b, DEFAULT_MAX_N, args.digits, FactorCertificate.to_json_dict)
+    return _decide(g, args.b, DEFAULT_MAX_N, FactorCertificate.to_json_dict)
 
 
-def _decide(g: Graph, b: int, max_n: int, digits: int, found) -> int:
+def _decide(g: Graph, b: int, max_n: int, found) -> int:
     """Print found(certificate) for a verified factor; with none, the
     smallest Amahashi witness when g has at most max_n vertices, else
     {"kind": "none"}. A graph with neither a factor nor a witness makes the
@@ -271,11 +269,11 @@ def _decide(g: Graph, b: int, max_n: int, digits: int, found) -> int:
     if cert is not None:
         checked = verify_certificate(g, b, cert)
         if checked:
-            sys.stdout.write(_json_line(found(cert), digits))
+            sys.stdout.write(json.dumps(found(cert)) + "\n")
             return EXIT_OK
         print(f"factor certificate rejected: {checked.reason}", file=sys.stderr)
     if g.n > max_n:
-        sys.stdout.write(_json_line({"kind": "none"}, digits))
+        sys.stdout.write(json.dumps({"kind": "none"}) + "\n")
         return EXIT_NEGATIVE
     violation = check_amahashi(g, b, max_n=max_n)
     if violation is None:
@@ -285,7 +283,7 @@ def _decide(g: Graph, b: int, max_n: int, digits: int, found) -> int:
             file=sys.stderr,
         )
         return EXIT_THEOREM
-    sys.stdout.write(_json_line(violation.to_json_dict(), digits))
+    sys.stdout.write(json.dumps(violation.to_json_dict()) + "\n")
     return EXIT_NEGATIVE
 
 

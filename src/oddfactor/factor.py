@@ -20,9 +20,10 @@ in the tests as a third, independent decider.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
-from .graphs import Graph, as_vertex_set, components, delete_vertices, edge_boundary
+from .graphs import Graph
 
 __all__ = [
     "DEFAULT_MAX_N",
@@ -32,7 +33,6 @@ __all__ = [
     "check_amahashi",
     "find_odd_factor",
     "verify_certificate",
-    "small_boundary_components",
     "subset_guard",
 ]
 
@@ -77,13 +77,14 @@ def _check_b(b: int) -> None:
         raise ValueError(f"b must be a positive odd integer, got {b}")
 
 
-def _odd_components_masked(adj_masks, n: int, deleted: int) -> int:
-    """Count odd components of the graph restricted to vertices outside `deleted`.
+def _odd_components_masked(adj_masks, n: int, deleted: int) -> list:
+    """Bit masks of the odd components of the graph restricted to vertices
+    outside `deleted`, in order of smallest vertex.
 
     Bitmask flood fill; avoids building Graph objects in the subset loop.
     """
     remaining = ((1 << n) - 1) & ~deleted
-    odd = 0
+    odd = []
     while remaining:
         seed = remaining & -remaining
         comp = seed
@@ -98,7 +99,7 @@ def _odd_components_masked(adj_masks, n: int, deleted: int) -> int:
             frontier = reach & remaining & ~comp
             comp |= frontier
         if comp.bit_count() % 2 == 1:
-            odd += 1
+            odd.append(comp)
         remaining &= ~comp
     return odd
 
@@ -128,22 +129,11 @@ def check_amahashi(g: Graph, b: int, max_n: int = DEFAULT_MAX_N):
             deleted = 0
             for v in combo:
                 deleted |= 1 << v
-            o = _odd_components_masked(adj_masks, n, deleted)
-            if o > bound:
-                return _build_violation(g, combo, o, bound)
+            odd = _odd_components_masked(adj_masks, n, deleted)
+            if len(odd) > bound:
+                comps = tuple(tuple(v for v in range(n) if m >> v & 1) for m in odd)
+                return AmahashiViolation(s=combo, odd_components=comps, o=len(odd), bound=bound)
     return None
-
-
-def _build_violation(g: Graph, s, o: int, bound: int) -> AmahashiViolation:
-    h, mapping = delete_vertices(g, s)
-    back = {new: old for old, new in mapping.items()}
-    odd = tuple(
-        tuple(back[v] for v in comp)
-        for comp in components(h)
-        if len(comp) % 2 == 1
-    )
-    assert len(odd) == o
-    return AmahashiViolation(s=tuple(s), odd_components=odd, o=o, bound=bound)
 
 
 def find_odd_factor(g: Graph, b: int):
@@ -311,7 +301,10 @@ def verify_certificate(g: Graph, b: int, cert: FactorCertificate) -> Certificate
     degrees = [0] * g.n
     seen = set()
     for e in cert.edges:
-        u, v = e
+        try:
+            u, v = map(operator.index, e)
+        except (TypeError, ValueError):
+            return CertificateCheck(False, f"edge {e!r} is not a pair of integers")
         key = (u, v) if u < v else (v, u)
         if key in seen:
             return CertificateCheck(False, f"duplicate edge {key}")
@@ -328,27 +321,3 @@ def verify_certificate(g: Graph, b: int, cert: FactorCertificate) -> Certificate
         if d > b:
             return CertificateCheck(False, f"vertex {v} has degree {d} > {b}")
     return CertificateCheck(True)
-
-
-def small_boundary_components(g: Graph, s, r: int, b: int) -> list:
-    """Odd components of g-s whose edge boundary toward s is below ceil(r/b).
-
-    Mechanical filter: no regularity assumption is made about g. Components
-    are reported in original labels with their boundary sizes, ordered by
-    smallest vertex.
-    """
-    if r < 1 or b < 1:
-        raise ValueError(f"r and b must be positive, got r={r}, b={b}")
-    s_t = as_vertex_set(s, g.n)
-    ceil_rb = (r + b - 1) // b
-    h, mapping = delete_vertices(g, s_t)
-    back = {new: old for old, new in mapping.items()}
-    out = []
-    for comp in components(h):
-        if len(comp) % 2 == 0:
-            continue
-        lifted = tuple(back[v] for v in comp)
-        boundary = edge_boundary(g, lifted, s_t)
-        if boundary < ceil_rb:
-            out.append((lifted, boundary))
-    return out

@@ -35,7 +35,6 @@ __all__ = [
     "components",
     "is_connected",
     "odd_component_count",
-    "edge_boundary",
     "parse_edge_list",
     "serialize_edge_list",
     "to_dot",
@@ -235,8 +234,7 @@ def _subgraph_on(g: Graph, keep: VertexSet):
 def delete_vertices(g: Graph, s: Iterable):
     """Remove S and relabel the rest contiguously.
 
-    Returns (graph, mapping) where mapping sends kept old labels to new ones,
-    so witnesses computed downstream can be lifted back.
+    Returns (graph, mapping) where mapping sends kept old labels to new ones.
     """
     s_t = as_vertex_set(s, g.n)
     drop = set(s_t)
@@ -291,16 +289,6 @@ def is_connected(g: Graph) -> bool:
 
 def odd_component_count(g: Graph) -> int:
     return sum(1 for comp in components(g) if len(comp) % 2 == 1)
-
-
-def edge_boundary(g: Graph, a: Iterable, b: Iterable) -> int:
-    """Number of edges with one endpoint in a and the other in b (disjoint sets)."""
-    a_t = as_vertex_set(a, g.n)
-    b_t = as_vertex_set(b, g.n)
-    b_set = set(b_t)
-    if b_set.intersection(a_t):
-        raise GraphError("edge_boundary requires disjoint vertex sets")
-    return sum(1 for u in a_t for w in g.adj[u] if w in b_set)
 
 
 # ---------------------------------------------------------------------------

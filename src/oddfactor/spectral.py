@@ -36,12 +36,6 @@ class Spectrum:
 
     values: tuple
 
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
 
 def sym_matrix(entries) -> np.ndarray:
     """Build a float matrix that is symmetric to exact representational equality.

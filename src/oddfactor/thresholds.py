@@ -61,12 +61,17 @@ def _check_rb(r: int, b: int) -> None:
         raise ValueError(f"b must be less than r, got b={b}, r={r}")
 
 
-def threshold_params(r: int, b: int) -> ThresholdParams:
-    """All derived threshold quantities for a degree r and odd bound b < r."""
+def _eta_terms(r: int, b: int) -> tuple:
+    """(ceil(r/b), epsilon, eta) for a degree r and odd bound b < r."""
     _check_rb(r, b)
     ceil_rb = (r + b - 1) // b
     epsilon = 2 if r % 2 == ceil_rb % 2 else 1
-    eta = ceil_rb - epsilon
+    return ceil_rb, epsilon, ceil_rb - epsilon
+
+
+def threshold_params(r: int, b: int) -> ThresholdParams:
+    """All derived threshold quantities for a degree r and odd bound b < r."""
+    ceil_rb, epsilon, eta = _eta_terms(r, b)
     x = r % 2
     # eta inherits the parity of r
     if eta % 2 != x:
@@ -85,16 +90,10 @@ def threshold_params(r: int, b: int) -> ThresholdParams:
 
 def lwy_threshold(r: int, b: int) -> float:
     """The Lu-Wu-Yang lower bound on lambda_3 for r-regular even-order graphs
-    without an odd [1,b]-factor."""
-    _check_rb(r, b)
-    ceil_rb = (r + b - 1) // b
-    if r % 2 == 0 and ceil_rb % 2 == 0:
-        return r - (ceil_rb - 2) / (r + 1) + 1 / ((r + 1) * (r + 2))
-    if r % 2 == 0:
-        return r - (ceil_rb - 1) / (r + 1) + 1 / ((r + 1) * (r + 2))
-    if ceil_rb % 2 == 0:
-        return r - (ceil_rb - 1) / (r + 1) + 1 / (r + 2) ** 2
-    return r - (ceil_rb - 2) / (r + 1) + 1 / (r + 2) ** 2
+    without an odd [1,b]-factor, in the eta form of its four parity branches."""
+    eta = _eta_terms(r, b)[2]
+    corr = 1 / ((r + 1) * (r + 2)) if r % 2 == 0 else 1 / (r + 2) ** 2
+    return r - eta / (r + 1) + corr
 
 
 def _largest_cubic_root_bisect(lo: float, hi: float, width: float = 1e-12) -> float:

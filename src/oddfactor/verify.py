@@ -87,7 +87,6 @@ class SharpnessReport:
     lambda1: float
     n_vertices: int
     edge_count: int
-    degree_profile_ok: bool
     equitable: bool
     quotient_top: float
     issues: tuple
@@ -203,7 +202,8 @@ def random_regular(n: int, r: int, seed: int, max_retries: int = 10_000) -> Grap
     Stubs are shuffled and paired; self-loops and repeated pairs are thrown
     back and re-paired, and the attempt restarts from scratch once no simple
     pair can be completed or the finished graph is disconnected, so every
-    graph returned is connected. Raises after max_retries restarts.
+    graph returned is connected. Raises ValueError when no connected graph
+    fits n and r, and RuntimeError after max_retries restarts.
 
     The graph is a function of the seed through random.Random(seed)'s
     getrandbits stream alone: every shuffle draws exactly the words
@@ -214,6 +214,8 @@ def random_regular(n: int, r: int, seed: int, max_retries: int = 10_000) -> Grap
         raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
     if (n * r) % 2 != 0:
         raise ValueError(f"n*r must be even, got n={n}, r={r}")
+    if r <= 1 and n > r + 1:
+        raise ValueError(f"no connected {r}-regular graph has n={n} vertices")
     getrandbits = random.Random(seed).getrandbits
     base = [v for v in range(n) for _ in range(r)]
     # built per call, not cached, so that no table outlives the graph
@@ -273,25 +275,22 @@ def _quotient_top(h: Graph, parts) -> float:
 def sharpness_check(r: int, b: int) -> SharpnessReport:
     """Build the extremal component and confirm it attains rho(r, b).
 
-    Checks the eigenvalue, the vertex/edge counts, the degree profile, the
-    equitability of the construction partition, and the agreement of the
-    quotient eigenvalue. Raises DegenerateConstructionError when no
-    construction exists (odd r with eta < 3).
+    Checks the eigenvalue, the equitability of the construction partition,
+    and the agreement of the quotient eigenvalue; build_extremal has already
+    checked the vertex and edge counts and the degree profile. Raises
+    DegenerateConstructionError when no construction exists (odd r with
+    eta < 3).
     """
     p = threshold_params(r, b)
-    h = build_extremal(p)  # structural counts validated inside
+    h = build_extremal(p)
     parts = extremal_partition(p)
     lam1 = eigenvalues_sym(adjacency_matrix(h)).values[0]
-    degs = h.degrees()
-    profile_ok = degs.count(r - 1) == p.eta and degs.count(r) == h.n - p.eta
     equitable = is_equitable(h, parts)
     q_top = _quotient_top(h, parts)
 
     issues = []
     if abs(lam1 - p.rho) >= GUARD:
         issues.append(f"lambda1={lam1!r} differs from rho={p.rho!r}")
-    if not profile_ok:
-        issues.append(f"degree profile {sorted(degs)} lacks {p.eta} vertices of degree {r - 1}")
     if not equitable:
         issues.append("construction partition is not equitable")
     if abs(q_top - p.rho) >= GUARD:
@@ -305,7 +304,6 @@ def sharpness_check(r: int, b: int) -> SharpnessReport:
         lambda1=lam1,
         n_vertices=h.n,
         edge_count=len(h.edges),
-        degree_profile_ok=profile_ok,
         equitable=equitable,
         quotient_top=q_top,
         issues=tuple(issues),

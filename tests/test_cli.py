@@ -282,6 +282,11 @@ def test_usage_errors(capsys):
     assert code == 2
     code, out, err = run(capsys, "threshold", "--r", "4")
     assert code == 2
+    # check and find-factor print no floats, so they take no --digits
+    for command in ("check", "find-factor"):
+        code, out, err = run(capsys, command, "C6", "--b", "1", "--digits", "3")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --digits 3" in err
 
 
 def test_determinism(capsys, monkeypatch):
@@ -293,7 +298,7 @@ def test_determinism(capsys, monkeypatch):
         ("construct", "H:r=5,b=1"),
         ("spectrum", "M6", "--format", "text"),
         ("check", "C7", "--b", "1"),
-        ("find-factor", "H:r=4,b=1", "--b", "1", "--digits", "3"),
+        ("find-factor", "H:r=4,b=1", "--b", "1"),
         ("check", "K4", "--b", "3", "--max-n", "4"),
         ("find-factor", "C6", "--b", "1"),
     ]

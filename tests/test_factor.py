@@ -9,10 +9,18 @@ from oddfactor.factor import (
     FactorCertificate,
     check_amahashi,
     find_odd_factor,
-    small_boundary_components,
     verify_certificate,
 )
-from oddfactor.graphs import Graph, complete_graph, cycle_graph, disjoint_union, empty_graph, join
+from oddfactor.graphs import (
+    Graph,
+    complete_graph,
+    components,
+    cycle_graph,
+    delete_vertices,
+    disjoint_union,
+    empty_graph,
+    join,
+)
 from conftest import (
     barrier_cubic,
     brute_force_has_odd_factor,
@@ -101,6 +109,13 @@ def test_verify_certificate_reasons():
     for u, v in ((-1, 0), (0, -1), (-6, -5), (5, 6), (6, 7), (0, 6), (-1, -1), (6, 6)):
         bad = verify_certificate(g, 1, FactorCertificate(((u, v),), (1,)))
         assert not bad and "not in the host graph" in bad.reason, (u, v)
+    # edges that are not pairs of integers, as JSON input may carry
+    for e in ((0.5, 1), (0, "1"), (0, 1, 2), (0,), "01", 5, None):
+        bad = verify_certificate(g, 1, FactorCertificate((e,), (1,)))
+        assert not bad and bad.reason == f"edge {e!r} is not a pair of integers", e
+    # a list pair is read like a tuple
+    ok = verify_certificate(g, 1, FactorCertificate(([0, 1], [2, 3], [4, 5]), ()))
+    assert ok
 
 
 def test_deciders_agree_exhaustively_n4():
@@ -232,23 +247,28 @@ def test_counting_step_on_cubic_witness():
     assert v is not None
     # even order and odd b force the excess to be at least 2
     assert v.o >= v.bound + 2
-    small = small_boundary_components(g, v.s, 3, 1)
-    assert len(small) >= 3
-    for comp, boundary in small:
-        assert len(comp) % 2 == 1
-        assert boundary < 3
 
 
-def test_small_boundary_components_examples():
-    g = star_k13()
-    out = small_boundary_components(g, [0], 3, 1)
-    assert out == [((1,), 1), ((2,), 1), ((3,), 1)]
-    g = disjoint_union([cycle_graph(3), complete_graph(2)])
-    out = small_boundary_components(g, [], 3, 1)
-    assert out == [((0, 1, 2), 0)]
-    # path of five after deleting one vertex of C6: boundary 2 not under ceil(2/1)=2
-    out = small_boundary_components(cycle_graph(6), [0], 2, 1)
-    assert out == []
+def test_violation_components_match_deleted_graph():
+    # oracle: the odd components of G - S from the Graph-level component
+    # search, lifted back to the labels of G
+    rng = random.Random(23)
+    checked = 0
+    for _ in range(400):
+        g = random_graph(rng, rng.randrange(1, 12), rng.choice([0.15, 0.3, 0.5]))
+        for b in (1, 3, 5):
+            v = check_amahashi(g, b)
+            if v is None:
+                continue
+            checked += 1
+            h, mapping = delete_vertices(g, v.s)
+            back = {new: old for old, new in mapping.items()}
+            odd = tuple(
+                tuple(back[w] for w in comp) for comp in components(h) if len(comp) % 2 == 1
+            )
+            assert v.odd_components == odd, (g.edges, b)
+            assert v.o == len(v.odd_components) > v.bound == b * len(v.s)
+    assert checked >= 900
 
 
 def test_certificate_json_shape():

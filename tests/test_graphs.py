@@ -20,7 +20,6 @@ from oddfactor.graphs import (
     cycle_graph,
     delete_vertices,
     disjoint_union,
-    edge_boundary,
     empty_graph,
     induced_subgraph,
     is_connected,
@@ -237,15 +236,6 @@ def test_odd_component_count_examples():
     assert odd_component_count(g) == 3
     assert odd_component_count(complete_graph(4)) == 0
     assert odd_component_count(disjoint_union([cycle_graph(3), complete_graph(2)])) == 1
-
-
-def test_edge_boundary():
-    assert edge_boundary(complete_graph(4), [0], [1, 2, 3]) == 3
-    two_k2 = disjoint_union([complete_graph(2)] * 2)
-    assert edge_boundary(two_k2, [0, 1], [2, 3]) == 0
-    assert edge_boundary(cycle_graph(4), [0, 1], [2, 3]) == 2
-    with pytest.raises(GraphError):
-        edge_boundary(complete_graph(4), [0, 1], [1, 2])
 
 
 def test_odd_components_parity_properties():

@@ -95,13 +95,24 @@ def test_lwy_spot_values():
     assert abs(lwy_threshold(5, 3) - (5 - 1 / 6 + 1 / 49)) < 1e-12
 
 
-def test_lwy_matches_eta_shorthand():
-    # all four branches collapse to r - eta/(r+1) + parity correction
-    for r in range(3, 41):
+def _lwy_four_branch(r, b):
+    """The Lu-Wu-Yang bound in its four parity branches, as an oracle for the
+    eta form that lwy_threshold computes."""
+    ceil_rb = -(-r // b)
+    if r % 2 == 0 and ceil_rb % 2 == 0:
+        return r - (ceil_rb - 2) / (r + 1) + 1 / ((r + 1) * (r + 2))
+    if r % 2 == 0:
+        return r - (ceil_rb - 1) / (r + 1) + 1 / ((r + 1) * (r + 2))
+    if ceil_rb % 2 == 0:
+        return r - (ceil_rb - 1) / (r + 1) + 1 / (r + 2) ** 2
+    return r - (ceil_rb - 2) / (r + 1) + 1 / (r + 2) ** 2
+
+
+def test_lwy_matches_four_branch_oracle():
+    # eta is the branch's integer numerator, so the two forms agree exactly
+    for r in range(3, 201):
         for b in range(1, r, 2):
-            p = threshold_params(r, b)
-            corr = 1 / ((r + 1) * (r + 2)) if r % 2 == 0 else 1 / (r + 2) ** 2
-            assert abs(lwy_threshold(r, b) - (r - p.eta / (r + 1) + corr)) < 1e-12
+            assert lwy_threshold(r, b) == _lwy_four_branch(r, b), (r, b)
 
 
 def test_prior_1factor_thresholds():

@@ -57,6 +57,17 @@ def test_random_regular_errors():
         random_regular(4, 4, seed=0)
     with pytest.raises(RuntimeError):
         random_regular(16, 7, seed=0, max_retries=-1)  # zero attempts allowed
+    # no connected 0- or 1-regular graph beyond K1 and K2: refused before sampling
+    for n, r in ((2, 0), (5, 0), (4, 1), (200, 1)):
+        with pytest.raises(ValueError, match="no connected"):
+            random_regular(n, r, seed=0)
+    # the order checks still come first
+    with pytest.raises(ValueError, match="n\\*r must be even"):
+        random_regular(5, 1, seed=0)
+    with pytest.raises(ValueError, match="need 0 <= r < n"):
+        random_regular(1, 1, seed=0)
+    assert random_regular(1, 0, seed=0) == Graph(1)
+    assert random_regular(2, 1, seed=0) == complete_graph(2)
 
 
 def test_random_regular_spread_of_degrees():
