@@ -298,9 +298,13 @@ def _augment(adj, mate: list, root: int) -> bool:
 
 def verify_certificate(g: Graph, b: int, cert: FactorCertificate) -> CertificateCheck:
     """Recompute everything the certificate claims; never raises."""
+    try:
+        edges = iter(cert.edges)
+    except TypeError:
+        return CertificateCheck(False, f"edges {cert.edges!r} is not iterable")
     degrees = [0] * g.n
     seen = set()
-    for e in cert.edges:
+    for e in edges:
         try:
             u, v = map(operator.index, e)
         except (TypeError, ValueError):

@@ -21,8 +21,8 @@ __all__ = [
     "Spectrum",
     "sym_matrix",
     "adjacency_matrix",
+    "complete_minus_matrix",
     "eigenvalues_sym",
-    "lambda_k",
     "validate_partition",
     "quotient_matrix",
     "is_equitable",
@@ -58,6 +58,19 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
+def complete_minus_matrix(n: int, missing) -> np.ndarray:
+    """Adjacency matrix of K_n without the pairs (u, v) in `missing`: the
+    same matrix adjacency_matrix gives for graphs.complete_minus(n,
+    set(missing)), with no Graph built. The pairs are not checked, so they
+    must already satisfy 0 <= u < v < n, as thresholds.extremal_missing
+    guarantees; a negative vertex would index from the end."""
+    ends = np.array(missing, dtype=np.intp).reshape(-1, 2)
+    a = 1.0 - np.eye(n)
+    # each pair clears (u, v) and (v, u) in one store
+    a[ends.ravel(), ends[:, ::-1].ravel()] = 0.0
+    return a
+
+
 def eigenvalues_sym(m) -> Spectrum:
     """All eigenvalues of a symmetric matrix, sorted nonincreasing."""
     a = np.asarray(m, dtype=np.float64)  # read only, so a float array is not copied
@@ -70,13 +83,6 @@ def eigenvalues_sym(m) -> Spectrum:
     if not (a == a.T).all():
         raise ValueError("matrix must be exactly symmetric; see sym_matrix()")
     return Spectrum(values=tuple(np.linalg.eigvalsh(a)[::-1].tolist()))
-
-
-def lambda_k(g: Graph, k: int) -> float:
-    """k-th largest adjacency eigenvalue (1-indexed)."""
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k must be in [1, {g.n}], got {k}")
-    return eigenvalues_sym(adjacency_matrix(g)).values[k - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ __all__ = [
     "threshold_params",
     "lwy_threshold",
     "prior_1factor_thresholds",
+    "extremal_missing",
     "build_extremal",
     "extremal_partition",
 ]
@@ -125,30 +126,65 @@ def prior_1factor_thresholds(r: int) -> tuple:
     return bh, cgh
 
 
-def build_extremal(p: ThresholdParams) -> Graph:
-    """The extremal component H on r+1 (r even) or r+2 (r odd) vertices with
-    largest adjacency eigenvalue exactly rho(r, b).
+def extremal_missing(p: ThresholdParams) -> tuple:
+    """The extremal component H as (order, missing): H is K_order without the
+    pairs (u, v), u < v, in the tuple `missing`.
 
-    r even: clique of size r+1-eta joined to a matching complement on eta
-    vertices. r odd: cycle complement on eta vertices joined to a matching
-    complement on r+2-eta vertices; undefined when eta < 3 since a cycle
-    needs at least three vertices. Either way H is a complete graph minus a
-    sparse set of missing edges, which is how it is built.
+    r even: K_{r+1} minus a perfect matching on its last eta vertices, that
+    is, a clique of size r+1-eta joined to a matching complement on eta
+    vertices. r odd: K_{r+2} minus a cycle on its first eta vertices and a
+    perfect matching on the other r+2-eta, that is, a cycle complement
+    joined to a matching complement; undefined when eta < 3 since a cycle
+    needs at least three vertices. The set is checked before it is returned.
     """
     r, eta = p.r, p.eta
     if r % 2 == 0:
         # K_{r+1} minus a perfect matching on its last eta vertices
-        missing = {(i, i + 1) for i in range(r + 1 - eta, r + 1, 2)}
+        missing = [(i, i + 1) for i in range(r + 1 - eta, r + 1, 2)]
     else:
         if eta < 3:
             raise DegenerateConstructionError(
                 f"no extremal construction for odd r={r} with eta={eta} < 3"
             )
         # K_{r+2} minus a cycle on 0..eta-1 and a perfect matching on the rest
-        missing = {(i, i + 1) for i in range(eta - 1)} | {(0, eta - 1)}
-        missing |= {(i, i + 1) for i in range(eta, r + 2, 2)}
-    expected_n = r + 1 + p.parity_offset
-    h = complete_minus(expected_n, missing)
+        missing = [(i, i + 1) for i in range(eta - 1)] + [(0, eta - 1)]
+        missing += [(i, i + 1) for i in range(eta, r + 2, 2)]
+    order = r + 1 + p.parity_offset
+    _check_missing(r, eta, order, missing)
+    return order, tuple(missing)
+
+
+def _check_missing(r: int, eta: int, order: int, missing) -> None:
+    """Raise AssertionError unless K_order minus `missing` is the extremal
+    component's shape: distinct pairs 0 <= u < v < order whose removal
+    leaves r*order - eta edge ends, eta vertices of degree r-1 and the rest
+    of degree r."""
+    if len(set(missing)) != len(missing):
+        raise AssertionError(f"extremal missing pairs repeat: {missing}")
+    lost = [0] * order
+    for u, v in missing:
+        if not 0 <= u < v < order:
+            raise AssertionError(f"extremal missing pair {(u, v)} is not u < v < {order}")
+        lost[u] += 1
+        lost[v] += 1
+    if order * (order - 1) - 2 * len(missing) != r * order - eta:
+        raise AssertionError(
+            f"extremal graph would have {order * (order - 1) // 2 - len(missing)} edges, "
+            f"expected {(r * order - eta) / 2}"
+        )
+    degs = [order - 1 - k for k in lost]
+    if degs.count(r - 1) != eta or degs.count(r) != order - eta:
+        raise AssertionError(f"extremal degree profile broken: {sorted(degs)}")
+
+
+def build_extremal(p: ThresholdParams) -> Graph:
+    """The extremal component H on r+1 (r even) or r+2 (r odd) vertices with
+    largest adjacency eigenvalue exactly rho(r, b), built as a Graph from
+    extremal_missing(p).
+    """
+    r, eta = p.r, p.eta
+    expected_n, missing = extremal_missing(p)
+    h = complete_minus(expected_n, set(missing))
     if h.n != expected_n:
         raise AssertionError(f"extremal graph has {h.n} vertices, expected {expected_n}")
     if 2 * len(h.edges) != r * expected_n - eta:

@@ -18,6 +18,7 @@ from .factor import find_odd_factor
 from .graphs import Graph, is_connected, serialize_edge_list
 from .spectral import (
     adjacency_matrix,
+    complete_minus_matrix,
     eigenvalues_sym,
     is_equitable,
     quotient_eigs_2x2,
@@ -26,6 +27,7 @@ from .spectral import (
 from .thresholds import (
     DegenerateConstructionError,
     build_extremal,
+    extremal_missing,
     extremal_partition,
     lwy_threshold,
     prior_1factor_thresholds,
@@ -272,6 +274,11 @@ def _quotient_top(h: Graph, parts) -> float:
     return quotient_eigs_2x2(q)[0]
 
 
+def _extremal_lambda1(p) -> float:
+    """lambda_1 of the extremal component, solved from its missing-pair set."""
+    return eigenvalues_sym(complete_minus_matrix(*extremal_missing(p))).values[0]
+
+
 def sharpness_check(r: int, b: int) -> SharpnessReport:
     """Build the extremal component and confirm it attains rho(r, b).
 
@@ -284,7 +291,7 @@ def sharpness_check(r: int, b: int) -> SharpnessReport:
     p = threshold_params(r, b)
     h = build_extremal(p)
     parts = extremal_partition(p)
-    lam1 = eigenvalues_sym(adjacency_matrix(h)).values[0]
+    lam1 = _extremal_lambda1(p)
     equitable = is_equitable(h, parts)
     q_top = _quotient_top(h, parts)
 
@@ -368,11 +375,9 @@ def bound_sweep(r_max: int) -> list:
         key = (r, p.eta)
         if key not in lam1_cache:
             try:
-                h = build_extremal(p)
+                lam1_cache[key] = _extremal_lambda1(p)
             except DegenerateConstructionError:
                 lam1_cache[key] = None
-            else:
-                lam1_cache[key] = eigenvalues_sym(adjacency_matrix(h)).values[0]
         lam1 = lam1_cache[key]
         rows.append(
             SweepRow(

@@ -113,6 +113,10 @@ def test_verify_certificate_reasons():
     for e in ((0.5, 1), (0, "1"), (0, 1, 2), (0,), "01", 5, None):
         bad = verify_certificate(g, 1, FactorCertificate((e,), (1,)))
         assert not bad and bad.reason == f"edge {e!r} is not a pair of integers", e
+    # an edge container that is not iterable, as JSON input may carry
+    for edges in (None, 5):
+        bad = verify_certificate(g, 1, FactorCertificate(edges, ()))
+        assert not bad and bad.reason == f"edges {edges!r} is not iterable", edges
     # a list pair is read like a tuple
     ok = verify_certificate(g, 1, FactorCertificate(([0, 1], [2, 3], [4, 5]), ()))
     assert ok

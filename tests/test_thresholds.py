@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from oddfactor.graphs import (
@@ -11,6 +12,7 @@ from oddfactor.graphs import (
 )
 from oddfactor.spectral import (
     adjacency_matrix,
+    complete_minus_matrix,
     eigenvalues_sym,
     is_equitable,
     quotient_eigs_2x2,
@@ -18,12 +20,15 @@ from oddfactor.spectral import (
 )
 from oddfactor.thresholds import (
     DegenerateConstructionError,
+    _check_missing,
     build_extremal,
+    extremal_missing,
     extremal_partition,
     lwy_threshold,
     prior_1factor_thresholds,
     threshold_params,
 )
+from oddfactor.verify import bound_sweep
 
 SQRT2 = math.sqrt(2)
 
@@ -168,6 +173,44 @@ def test_build_extremal_matches_join_oracle():
             assert build_extremal(p) == oracle, (r, b)
             pairs += 1
     assert pairs == 609
+
+
+def test_missing_pair_matrix_matches_graph_oracle():
+    # the sweep solves lambda_1 from the missing-pair matrix; it must be the
+    # very matrix, and so the very eigenvalue, of the built Graph
+    lam1 = {}
+    for r in range(3, 61):
+        for b in range(1, r, 2):
+            p = threshold_params(r, b)
+            if r % 2 == 1 and p.eta < 3:
+                with pytest.raises(DegenerateConstructionError):
+                    extremal_missing(p)
+                continue
+            a = adjacency_matrix(build_extremal(p))
+            assert np.array_equal(complete_minus_matrix(*extremal_missing(p)), a), (r, b)
+            lam1[r, b] = eigenvalues_sym(a).values[0]
+    assert len(lam1) == 609
+    rows = bound_sweep(60)
+    assert len(rows) == 899
+    for row in rows:
+        assert row.lambda1_H == lam1.get((row.r, row.b)), (row.r, row.b)
+
+
+def test_check_missing_rejects_broken_sets():
+    # the extremal shape for r = 5, eta = 3: K_7 minus a triangle and a 2-matching
+    good = [(0, 1), (1, 2), (0, 2), (3, 4), (5, 6)]
+    _check_missing(5, 3, 7, good)
+    assert extremal_missing(threshold_params(5, 1)) == (7, tuple(good))
+    for broken in (
+        good + [(0, 1)],  # a repeated pair
+        good[:-1] + [(6, 5)],  # u > v
+        good[:-1] + [(5, 7)],  # v outside the graph
+        good[:-1] + [(-1, 5)],  # u below 0
+        good[:-1],  # one edge too many
+        good[:-1] + [(3, 5)],  # right count, wrong degree profile
+    ):
+        with pytest.raises(AssertionError):
+            _check_missing(5, 3, 7, broken)
 
 
 def test_build_extremal_degenerate_cases():

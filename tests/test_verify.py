@@ -1,15 +1,19 @@
+import csv
 import hashlib
+import io
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from oddfactor.factor import check_amahashi
 from oddfactor.graphs import Graph, complete_graph, components, cycle_graph, disjoint_union
-from oddfactor.spectral import lambda_k
+from oddfactor.spectral import adjacency_matrix, eigenvalues_sym
 from oddfactor.thresholds import DegenerateConstructionError, threshold_params
 from oddfactor.verify import (
+    GUARD,
     SWEEP_CSV_HEADER,
     _shuffle,
     _trial_seed,
@@ -163,7 +167,7 @@ def test_contrapositive_cubic_witness():
     g = cubic_no_matching_16()
     assert g.regular_degree() == 3
     assert check_amahashi(g, 1) is not None
-    assert lambda_k(g, 3) >= threshold_params(3, 1).rho - 1e-9
+    assert eigenvalues_sym(adjacency_matrix(g)).values[2] >= threshold_params(3, 1).rho - 1e-9
 
 
 def test_contrapositive_quartic_witness():
@@ -171,7 +175,7 @@ def test_contrapositive_quartic_witness():
     assert g.regular_degree() == 4
     v = check_amahashi(g, 1)
     assert v is not None and v.o >= v.bound + 2
-    assert lambda_k(g, 3) >= threshold_params(4, 1).rho - 1e-9
+    assert eigenvalues_sym(adjacency_matrix(g)).values[2] >= threshold_params(4, 1).rho - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +287,25 @@ def test_sweep_csv_format():
     cells = lines[2].split(",")
     assert cells[5] == "3.645751311"
     assert cells[9] == "3.645751311"
+
+
+SWEEP_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "sweep_reference.csv"
+
+
+def test_sweep_matches_benchmark_reference():
+    # the table the benchmark's sweep workload checks every pass against
+    want = list(csv.reader(SWEEP_REFERENCE.read_text(encoding="utf-8").splitlines()))
+    got = list(csv.reader(io.StringIO(sweep_to_csv(bound_sweep(30)))))
+    assert got[0] == want[0] == SWEEP_CSV_HEADER.split(",")
+    assert len(got) == len(want) == 225
+    for g, w in zip(got[1:], want[1:]):
+        assert len(g) == len(w) == 10
+        assert g[:5] == w[:5]  # r, b, ceil_rb, epsilon, eta
+        for x, y in zip(g[5:], w[5:]):
+            if x == "" or y == "":
+                assert x == y, (g, w)
+            else:
+                assert abs(float(x) - float(y)) <= GUARD, (g, w)
 
 
 def test_bound_sweep_rejects_small_r_max():
