@@ -297,7 +297,13 @@ def _augment(adj, mate: list, root: int) -> bool:
 
 
 def verify_certificate(g: Graph, b: int, cert: FactorCertificate) -> CertificateCheck:
-    """Recompute everything the certificate claims; never raises."""
+    """Check that cert.edges is an odd [1,b]-factor of g; never raises.
+
+    The edges are checked to be distinct edges of g, and the degrees they
+    give are recomputed and checked against [1, b] and odd parity.
+    cert.degrees is never read, so a certificate with wrong or empty
+    degrees still passes when its edges form a factor.
+    """
     try:
         edges = iter(cert.edges)
     except TypeError:

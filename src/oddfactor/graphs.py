@@ -2,14 +2,15 @@
 
 Everything downstream (spectra, thresholds, factor search) consumes this
 representation: a sorted tuple of (u, v) edges with u < v, and sorted
-adjacency tuples derived from it, which also answer edge queries. All
-construction helpers return new values; nothing mutates a graph after
-__init__.
+adjacency tuples derived from it, which also answer edge queries. The
+builders here (complete, cycle and empty graphs, and K_k minus a set of
+pairs) and the edge-list parser each return a new value; nothing mutates
+a graph after __init__. Graph algebra such as complements, joins and
+vertex deletion lives in the tests, where it serves as an oracle.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations
 from typing import Iterable
 
@@ -21,26 +22,16 @@ __all__ = [
     "VertexRangeError",
     "SelfLoopError",
     "DuplicateEdgeError",
-    "as_vertex_set",
     "complete_graph",
     "complete_minus",
     "cycle_graph",
     "empty_graph",
     "matching_complement",
-    "complement",
-    "join",
-    "disjoint_union",
-    "delete_vertices",
-    "induced_subgraph",
-    "components",
     "is_connected",
-    "odd_component_count",
     "parse_edge_list",
     "serialize_edge_list",
     "to_dot",
 ]
-
-VertexSet = tuple
 
 
 class GraphError(ValueError):
@@ -126,20 +117,6 @@ class Graph:
         degs = set(self.degrees())
         return degs.pop() if len(degs) == 1 else None
 
-    def check_invariants(self) -> bool:
-        """Revalidate internal consistency; used by tests."""
-        for u, v in self.edges:
-            assert 0 <= u < v < self.n
-        edge_set = set(self.edges)
-        assert len(edge_set) == len(self.edges)
-        for v, ns in enumerate(self.adj):
-            assert list(ns) == sorted(set(ns))
-            for w in ns:
-                assert w != v
-                assert (min(v, w), max(v, w)) in edge_set
-        assert sum(self.degrees()) == 2 * len(self.edges)
-        return True
-
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
@@ -150,15 +127,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self.edges)})"
-
-
-def as_vertex_set(vertices: Iterable, n: int) -> VertexSet:
-    """Normalize an iterable of vertex indices to a sorted unique tuple in [0, n)."""
-    vs = tuple(sorted({int(v) for v in vertices}))
-    for v in vs:
-        if not 0 <= v < n:
-            raise VertexRangeError(f"vertex {v} out of range for n={n}")
-    return vs
 
 
 # ---------------------------------------------------------------------------
@@ -199,76 +167,6 @@ def complete_minus(k: int, missing) -> Graph:
     return Graph._canonical(k, [e for e in combinations(range(k), 2) if e not in missing])
 
 
-def complement(g: Graph) -> Graph:
-    return complete_minus(g.n, set(g.edges))
-
-
-def join(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union plus all cross edges; g2's vertices are shifted by g1.n."""
-    off = g1.n
-    edges = list(g1.edges)
-    edges += [(u + off, v + off) for u, v in g2.edges]
-    edges += [(u, v + off) for u in range(g1.n) for v in range(g2.n)]
-    return Graph(g1.n + g2.n, edges)
-
-
-def disjoint_union(parts: Iterable) -> Graph:
-    edges = []
-    off = 0
-    for part in parts:
-        edges += [(u + off, v + off) for u, v in part.edges]
-        off += part.n
-    return Graph._canonical(off, edges)
-
-
-def _subgraph_on(g: Graph, keep: VertexSet):
-    mapping = {old: new for new, old in enumerate(keep)}
-    edges = [
-        (mapping[u], mapping[v])
-        for u, v in g.edges
-        if u in mapping and v in mapping
-    ]
-    return Graph._canonical(len(keep), edges), mapping
-
-
-def delete_vertices(g: Graph, s: Iterable):
-    """Remove S and relabel the rest contiguously.
-
-    Returns (graph, mapping) where mapping sends kept old labels to new ones.
-    """
-    s_t = as_vertex_set(s, g.n)
-    drop = set(s_t)
-    keep = tuple(v for v in range(g.n) if v not in drop)
-    return _subgraph_on(g, keep)
-
-
-def induced_subgraph(g: Graph, s: Iterable):
-    """Induced subgraph on S, relabeled contiguously. Returns (graph, mapping)."""
-    keep = as_vertex_set(s, g.n)
-    return _subgraph_on(g, keep)
-
-
-def components(g: Graph) -> list:
-    """Connected components as sorted vertex tuples, ordered by smallest vertex."""
-    seen = [False] * g.n
-    out = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        out.append(tuple(sorted(comp)))
-    return out
-
-
 def is_connected(g: Graph) -> bool:
     """True iff g has exactly one component (the graph on no vertices has none)."""
     if g.n == 0:
@@ -285,10 +183,6 @@ def is_connected(g: Graph) -> bool:
                 count += 1
                 stack.append(w)
     return count == g.n
-
-
-def odd_component_count(g: Graph) -> int:
-    return sum(1 for comp in components(g) if len(comp) % 2 == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ __all__ = [
     "prior_1factor_thresholds",
     "extremal_missing",
     "build_extremal",
-    "extremal_partition",
 ]
 
 
@@ -196,21 +195,3 @@ def build_extremal(p: ThresholdParams) -> Graph:
         raise AssertionError(f"extremal degree profile broken: {sorted(degs)}")
     return h
 
-
-def extremal_partition(p: ThresholdParams) -> tuple:
-    """The two construction blocks of the extremal graph, in join order.
-
-    For eta = 0 the second block would be empty, so the single full block is
-    returned instead.
-    """
-    r, eta = p.r, p.eta
-    if r % 2 == 0:
-        if eta == 0:
-            return (tuple(range(r + 1)),)
-        split = r + 1 - eta
-        return (tuple(range(split)), tuple(range(split, r + 1)))
-    if eta < 3:
-        raise DegenerateConstructionError(
-            f"no extremal construction for odd r={r} with eta={eta} < 3"
-        )
-    return (tuple(range(eta)), tuple(range(eta, r + 2)))

@@ -10,25 +10,17 @@ over a full (r, b) sweep.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
 
 from .factor import find_odd_factor
 from .graphs import Graph, is_connected, serialize_edge_list
-from .spectral import (
-    adjacency_matrix,
-    complete_minus_matrix,
-    eigenvalues_sym,
-    is_equitable,
-    quotient_eigs_2x2,
-    quotient_matrix,
-)
+from .spectral import adjacency_matrix, complete_minus_matrix, eigenvalues_sym
 from .thresholds import (
     DegenerateConstructionError,
-    build_extremal,
     extremal_missing,
-    extremal_partition,
     lwy_threshold,
     prior_1factor_thresholds,
     threshold_params,
@@ -267,33 +259,57 @@ def theorem_check(g: Graph, b: int, seed: int | None = None) -> TrialReport:
     )
 
 
-def _quotient_top(h: Graph, parts) -> float:
-    q = quotient_matrix(h, parts)
-    if q.shape == (1, 1):
-        return float(q[0, 0])
-    return quotient_eigs_2x2(q)[0]
-
-
 def _extremal_lambda1(p) -> float:
     """lambda_1 of the extremal component, solved from its missing-pair set."""
     return eigenvalues_sym(complete_minus_matrix(*extremal_missing(p))).values[0]
 
 
-def sharpness_check(r: int, b: int) -> SharpnessReport:
-    """Build the extremal component and confirm it attains rho(r, b).
+def _missing_quotient(order: int, missing) -> tuple:
+    """(equitable, top root) of the quotient of K_order minus `missing` over
+    its degree classes, numbered in order of their smallest vertex. For the
+    extremal component these are the paper's blocks: _check_missing has
+    shown them to be eta vertices of degree r-1 and the rest of degree r.
 
-    Checks the eigenvalue, the equitability of the construction partition,
-    and the agreement of the quotient eigenvalue; build_extremal has already
-    checked the vertex and edge counts and the degree profile. Raises
+    A vertex of block i has as neighbours in block j the vertices of j,
+    less itself and less the pairs it misses into j. The partition is
+    equitable when every vertex of a block misses the same number of pairs
+    into each block; the integer quotient rows are read off each block's
+    smallest vertex.
+    """
+    lost = [0] * order
+    for u, v in missing:
+        lost[u] += 1
+        lost[v] += 1
+    ids: dict = {}
+    block = [ids.setdefault(k, len(ids)) for k in lost]
+    k = len(ids)
+    into = [[0] * k for _ in range(order)]
+    for u, v in missing:
+        into[u][block[v]] += 1
+        into[v][block[u]] += 1
+    first = [block.index(i) for i in range(k)]
+    equitable = all(into[v] == into[first[block[v]]] for v in range(order))
+    q = [[block.count(j) - (i == j) - into[first[i]][j] for j in range(k)] for i in range(k)]
+    if k == 1:
+        return equitable, float(q[0][0])
+    (a, b), (c, d) = q
+    return equitable, (a + d + math.sqrt((a - d) ** 2 + 4 * b * c)) / 2
+
+
+def sharpness_check(r: int, b: int) -> SharpnessReport:
+    """Confirm that the extremal component attains rho(r, b), from its
+    missing-pair set alone.
+
+    Checks the eigenvalue, the equitability of the degree-class partition,
+    and the agreement of the quotient eigenvalue; extremal_missing has
+    already checked the edge count and the degree profile. Raises
     DegenerateConstructionError when no construction exists (odd r with
     eta < 3).
     """
     p = threshold_params(r, b)
-    h = build_extremal(p)
-    parts = extremal_partition(p)
-    lam1 = _extremal_lambda1(p)
-    equitable = is_equitable(h, parts)
-    q_top = _quotient_top(h, parts)
+    order, missing = extremal_missing(p)
+    lam1 = eigenvalues_sym(complete_minus_matrix(order, missing)).values[0]
+    equitable, q_top = _missing_quotient(order, missing)
 
     issues = []
     if abs(lam1 - p.rho) >= GUARD:
@@ -309,8 +325,8 @@ def sharpness_check(r: int, b: int) -> SharpnessReport:
         eta=p.eta,
         rho=p.rho,
         lambda1=lam1,
-        n_vertices=h.n,
-        edge_count=len(h.edges),
+        n_vertices=order,
+        edge_count=order * (order - 1) // 2 - len(missing),
         equitable=equitable,
         quotient_top=q_top,
         issues=tuple(issues),

@@ -1,14 +1,18 @@
 """Shared test helpers: reference graphs and independent brute-force oracles."""
 
 import itertools
+import math
 import random
+from collections import deque
 
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from oddfactor.cli import DEFAULT_MAX_EDGES
 from oddfactor.factor import FactorCertificate
-from oddfactor.graphs import Graph
+from oddfactor.graphs import Graph, VertexRangeError
+
+# edge-count guard of dfs_odd_factor, whose search is exponential in the edges
+DFS_MAX_EDGES = 64
 
 
 def pytest_configure(config):
@@ -33,6 +37,139 @@ def graphs(max_n: int):
         return picks.map(lambda keep: Graph(n, [e for e, k in zip(pairs, keep) if k]))
 
     return st.integers(min_value=0, max_value=max_n).flatmap(on)
+
+
+# ---------------------------------------------------------------------------
+# graph algebra, kept here as oracles for the library's direct constructions
+
+
+def check_invariants(g: Graph) -> bool:
+    """Revalidate a Graph's internal consistency."""
+    for u, v in g.edges:
+        assert 0 <= u < v < g.n
+    edge_set = set(g.edges)
+    assert len(edge_set) == len(g.edges)
+    for v, ns in enumerate(g.adj):
+        assert list(ns) == sorted(set(ns))
+        for w in ns:
+            assert w != v
+            assert (min(v, w), max(v, w)) in edge_set
+    assert sum(g.degrees()) == 2 * len(g.edges)
+    return True
+
+
+def complement(g: Graph) -> Graph:
+    return Graph(g.n, [e for e in itertools.combinations(range(g.n), 2) if not g.has_edge(*e)])
+
+
+def join(g1: Graph, g2: Graph) -> Graph:
+    """Disjoint union plus all cross edges; g2's vertices are shifted by g1.n."""
+    off = g1.n
+    edges = list(g1.edges)
+    edges += [(u + off, v + off) for u, v in g2.edges]
+    edges += [(u, v + off) for u in range(g1.n) for v in range(g2.n)]
+    return Graph(g1.n + g2.n, edges)
+
+
+def disjoint_union(parts) -> Graph:
+    edges = []
+    off = 0
+    for part in parts:
+        edges += [(u + off, v + off) for u, v in part.edges]
+        off += part.n
+    return Graph(off, edges)
+
+
+def _vertex_set(vertices, n: int) -> tuple:
+    vs = tuple(sorted(set(vertices)))
+    for v in vs:
+        if not 0 <= v < n:
+            raise VertexRangeError(f"vertex {v} out of range for n={n}")
+    return vs
+
+
+def induced_subgraph(g: Graph, s):
+    """Induced subgraph on S, relabelled contiguously. Returns (graph, mapping)
+    where mapping sends the kept old labels to the new ones."""
+    mapping = {old: new for new, old in enumerate(_vertex_set(s, g.n))}
+    edges = [(mapping[u], mapping[v]) for u, v in g.edges if u in mapping and v in mapping]
+    return Graph(len(mapping), edges), mapping
+
+
+def delete_vertices(g: Graph, s):
+    """G - S, relabelled contiguously. Returns (graph, mapping) as induced_subgraph."""
+    drop = set(_vertex_set(s, g.n))
+    return induced_subgraph(g, [v for v in range(g.n) if v not in drop])
+
+
+def components(g: Graph) -> list:
+    """Connected components as sorted vertex tuples, ordered by smallest vertex."""
+    seen = [False] * g.n
+    out = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in g.adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    queue.append(w)
+        out.append(tuple(sorted(comp)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# vertex partitions and quotients
+
+
+def extremal_partition(p) -> tuple:
+    """The paper's blocks of the extremal graph, in join order: for r even a
+    clique on r+1-eta vertices joined to a matching complement on eta, for
+    r odd a cycle complement on eta joined to a matching complement on
+    r+2-eta. With eta = 0 the second block would be empty, so the single
+    full block is returned."""
+    r, eta = p.r, p.eta
+    if r % 2 == 0:
+        if eta == 0:
+            return (tuple(range(r + 1)),)
+        split = r + 1 - eta
+        return (tuple(range(split)), tuple(range(split, r + 1)))
+    assert eta >= 3, f"no extremal construction for odd r={r} with eta={eta} < 3"
+    return (tuple(range(eta)), tuple(range(eta, r + 2)))
+
+
+def block_quotient(g: Graph, blocks) -> tuple:
+    """(equitable, q) for a partition of V(g) into blocks: q[i][j] is the
+    mean number of neighbours in block j over the vertices of block i, and
+    the partition is equitable when every vertex of block i has the same
+    number of neighbours in each block."""
+    block_of = {v: i for i, block in enumerate(blocks) for v in block}
+    assert sorted(block_of) == list(range(g.n)) and len(block_of) == sum(map(len, blocks))
+    counts = [[0] * len(blocks) for _ in range(g.n)]
+    for u, v in g.edges:
+        counts[u][block_of[v]] += 1
+        counts[v][block_of[u]] += 1
+    equitable = all(counts[v] == counts[block[0]] for block in blocks for v in block)
+    q = [
+        [sum(counts[v][j] for v in block) / len(block) for j in range(len(blocks))]
+        for block in blocks
+    ]
+    return equitable, q
+
+
+def quotient_roots(q) -> tuple:
+    """Eigenvalues of a 1x1 or 2x2 matrix, largest first, the latter by the
+    closed-form quadratic; a negative discriminant raises ValueError."""
+    if len(q) == 1:
+        return (float(q[0][0]),)
+    (a, b), (c, d) = q
+    root = math.sqrt((a - d) ** 2 + 4 * b * c)
+    return ((a + d + root) / 2, (a + d - root) / 2)
 
 
 def petersen_graph() -> Graph:
@@ -119,7 +256,7 @@ def barrier_cubic(k: int) -> Graph:
     return Graph(3 * k + 1, edges)
 
 
-def dfs_odd_factor(g: Graph, b: int, max_edges: int = DEFAULT_MAX_EDGES):
+def dfs_odd_factor(g: Graph, b: int, max_edges: int = DFS_MAX_EDGES):
     """Reference decider: exact backtracking search over the edges.
 
     Returns a FactorCertificate or None; exponential on graphs without a

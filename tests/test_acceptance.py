@@ -13,23 +13,30 @@ import random
 import pytest
 
 from oddfactor.factor import check_amahashi, find_odd_factor
-from oddfactor.graphs import Graph, induced_subgraph
-from oddfactor.spectral import (
-    adjacency_matrix,
-    eigenvalues_sym,
-    is_equitable,
-    quotient_eigs_2x2,
-    quotient_matrix,
-)
+from oddfactor.graphs import Graph
+from oddfactor.spectral import adjacency_matrix, eigenvalues_sym
 from oddfactor.thresholds import (
     build_extremal,
-    extremal_partition,
+    extremal_missing,
     lwy_threshold,
     prior_1factor_thresholds,
     threshold_params,
 )
-from oddfactor.verify import case2_polynomial_check, randomized_theorem_campaign, theorem_check
-from conftest import dfs_odd_factor, petersen_graph, random_graph
+from oddfactor.verify import (
+    _missing_quotient,
+    case2_polynomial_check,
+    randomized_theorem_campaign,
+    theorem_check,
+)
+from conftest import (
+    block_quotient,
+    dfs_odd_factor,
+    extremal_partition,
+    induced_subgraph,
+    petersen_graph,
+    quotient_roots,
+    random_graph,
+)
 
 R_MAX = 60
 
@@ -241,16 +248,18 @@ def test_criterion_8_spectral_foundation(sweep_data):
     if worst_interlace >= 1e-9:
         issues.append(f"interlacing violated by {worst_interlace:.2e}")
 
+    # the library's quotient, read off the missing-pair set, and both roots
+    # of the block-mean quotient of the built Graph lie in its spectrum
     worst_embed = 0.0
     for p, h, parts, spec in sweep_data:
         if h is None:
             continue
-        if not is_equitable(h, parts):
+        equitable, top = _missing_quotient(*extremal_missing(p))
+        oracle_equitable, q = block_quotient(h, parts)
+        if not (equitable and oracle_equitable):
             issues.append(f"partition not equitable at ({p.r},{p.b})")
             continue
-        q = quotient_matrix(h, parts)
-        mus = (float(q[0, 0]),) if q.shape == (1, 1) else quotient_eigs_2x2(q)
-        for mu in mus:
+        for mu in (top, *quotient_roots(q)):
             worst_embed = max(worst_embed, min(abs(mu - lam) for lam in spec.values))
     if worst_embed >= 1e-8:
         issues.append(f"quotient eigenvalue embedding off by {worst_embed:.2e}")

@@ -314,6 +314,11 @@ def test_verify_sharpness(capsys):
     assert code == 0
     assert "result: pass" in out
     assert "lambda1: 4.605551275" in out
+    # eta = 0: the extremal graph is K5 and its quotient has a single block
+    code, out, err = run(capsys, "verify", "sharpness", "--r", "4", "--b", "3")
+    assert code == 0
+    assert "quotient_top: 4.000000000" in out
+    assert "result: pass" in out
 
 
 def test_verify_sharpness_degenerate(capsys):

@@ -11,22 +11,17 @@ from oddfactor.factor import (
     find_odd_factor,
     verify_certificate,
 )
-from oddfactor.graphs import (
-    Graph,
-    complete_graph,
-    components,
-    cycle_graph,
-    delete_vertices,
-    disjoint_union,
-    empty_graph,
-    join,
-)
+from oddfactor.graphs import Graph, complete_graph, cycle_graph, empty_graph
 from conftest import (
     barrier_cubic,
     brute_force_has_odd_factor,
+    components,
     cubic_no_matching_16,
+    delete_vertices,
     dfs_odd_factor,
+    disjoint_union,
     graphs,
+    join,
     random_graph,
 )
 

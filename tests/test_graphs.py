@@ -13,32 +13,36 @@ from oddfactor.graphs import (
     MalformedHeaderError,
     SelfLoopError,
     VertexRangeError,
-    complement,
     complete_graph,
     complete_minus,
-    components,
     cycle_graph,
-    delete_vertices,
-    disjoint_union,
     empty_graph,
-    induced_subgraph,
     is_connected,
-    join,
     matching_complement,
-    odd_component_count,
     parse_edge_list,
     serialize_edge_list,
     to_dot,
 )
+from oddfactor.thresholds import build_extremal, threshold_params
 from oddfactor.verify import random_regular
-from conftest import graphs, random_graph
+from conftest import (
+    check_invariants,
+    complement,
+    components,
+    delete_vertices,
+    disjoint_union,
+    graphs,
+    induced_subgraph,
+    join,
+    random_graph,
+)
 
 
 def test_complete_graph():
     g = complete_graph(4)
     assert len(g.edges) == 6
     assert g.degrees() == (3, 3, 3, 3)
-    assert g.check_invariants()
+    assert check_invariants(g)
 
 
 def test_cycle_graph():
@@ -76,17 +80,17 @@ def test_construction_spec_dispatch_and_errors():
         lambda: complete_graph(6),
         lambda: complete_minus(0, ()),
         lambda: complete_minus(5, {(0, 1), (3, 4), (4, 3), (2, 9)}),
-        lambda: complement(cycle_graph(5)),
-        lambda: complement(Graph(4, [(3, 2)])),
+        lambda: complete_minus(7, {(0, 1), (1, 2), (0, 2), (3, 4), (5, 6)}),
+        lambda: complete_minus(4, set(itertools.combinations(range(4), 2))),
         lambda: matching_complement(0),
         lambda: matching_complement(6),
-        lambda: disjoint_union([]),
-        lambda: disjoint_union([cycle_graph(3), empty_graph(2), complete_graph(2)]),
+        lambda: matching_complement(2),
+        lambda: build_extremal(threshold_params(6, 1)),
         lambda: parse_edge_list("0 0\n"),
         lambda: parse_edge_list("5 4\n4 1\n0 3\n1 0\n3 2\n"),
-        lambda: induced_subgraph(cycle_graph(5), [])[0],
-        lambda: induced_subgraph(complete_graph(6), [5, 1, 3])[0],
-        lambda: delete_vertices(cycle_graph(6), [2, 4])[0],
+        lambda: parse_edge_list("4 3\n2 3\n0 3\n1 3\n"),
+        lambda: build_extremal(threshold_params(7, 1)),
+        lambda: random_regular(14, 3, seed=3),
         lambda: random_regular(8, 3, seed=0),
         lambda: random_regular(10, 4, seed=1),
         lambda: random_regular(12, 5, seed=2),
@@ -95,7 +99,7 @@ def test_construction_spec_dispatch_and_errors():
 def test_unchecked_builders_match_checked_constructor(build):
     # builders skip re-validation; the checked constructor is the reference
     g = build()
-    assert g.check_invariants()
+    assert check_invariants(g)
     checked = Graph(g.n, g.edges)
     assert g == checked
     assert g.adj == checked.adj
@@ -154,6 +158,10 @@ def test_graph_constructor_errors():
     assert g.edges == ((0, 1),)
 
 
+# ---------------------------------------------------------------------------
+# the graph algebra that the tests use as oracles (tests/conftest.py)
+
+
 def test_complement_examples():
     assert complement(complete_graph(4)) == empty_graph(4)
     assert complement(cycle_graph(3)) == empty_graph(3)
@@ -189,7 +197,7 @@ def test_join_edge_count_formula():
         g2 = random_graph(rng, rng.randrange(0, 6), 0.5)
         j = join(g1, g2)
         assert len(j.edges) == len(g1.edges) + len(g2.edges) + g1.n * g2.n
-        assert j.check_invariants()
+        assert check_invariants(j)
 
 
 def test_disjoint_union():
@@ -197,7 +205,7 @@ def test_disjoint_union():
     g = disjoint_union([k2, k2])
     assert g.n == 4 and g.edges == ((0, 1), (2, 3))
     assert len(components(g)) == 2
-    assert odd_component_count(disjoint_union([cycle_graph(3), cycle_graph(3)])) == 2
+    assert components(disjoint_union([cycle_graph(3), cycle_graph(3)])) == [(0, 1, 2), (3, 4, 5)]
 
 
 def test_delete_vertices():
@@ -230,14 +238,6 @@ def test_components_ordering():
     assert components(g) == [(0, 1), (2, 3, 4)]
 
 
-def test_odd_component_count_examples():
-    star = join(complete_graph(1), empty_graph(3))
-    g, _ = delete_vertices(star, [0])
-    assert odd_component_count(g) == 3
-    assert odd_component_count(complete_graph(4)) == 0
-    assert odd_component_count(disjoint_union([cycle_graph(3), complete_graph(2)])) == 1
-
-
 def test_odd_components_parity_properties():
     rng = random.Random(5)
     for _ in range(80):
@@ -245,10 +245,14 @@ def test_odd_components_parity_properties():
         s = [v for v in range(g.n) if rng.random() < 0.3]
         h, _ = delete_vertices(g, s)
         comps = components(h)
-        o = odd_component_count(h)
+        o = sum(len(c) % 2 for c in comps)
         assert o <= len(comps)
         if all(len(c) % 2 == 1 for c in comps):
             assert o % 2 == (g.n - len(set(s))) % 2
+
+
+# ---------------------------------------------------------------------------
+# text formats and Graph basics
 
 
 def test_parse_and_serialize():
@@ -301,7 +305,7 @@ def test_degree_sum_identity():
     for _ in range(30):
         g = random_graph(rng, rng.randrange(0, 12), 0.5)
         assert sum(g.degrees()) == 2 * len(g.edges)
-        assert g.check_invariants()
+        assert check_invariants(g)
 
 
 def test_graph_equality_is_label_sensitive():

@@ -4,24 +4,16 @@ import random
 import numpy as np
 import pytest
 
-from oddfactor.graphs import (
-    Graph,
-    complete_graph,
-    cycle_graph,
-    empty_graph,
+from oddfactor.graphs import complete_graph, cycle_graph, empty_graph
+from oddfactor.spectral import adjacency_matrix, eigenvalues_sym
+from conftest import (
+    block_quotient,
     induced_subgraph,
     join,
+    petersen_graph,
+    quotient_roots,
+    random_graph,
 )
-from oddfactor.spectral import (
-    adjacency_matrix,
-    eigenvalues_sym,
-    is_equitable,
-    quotient_eigs_2x2,
-    quotient_matrix,
-    sym_matrix,
-    validate_partition,
-)
-from conftest import petersen_graph, random_graph
 
 
 def spectra_close(values, expected, tol=1e-9):
@@ -117,13 +109,6 @@ def test_eigenvalues_sym_input_validation():
         eigenvalues_sym([[float("nan"), 0.0], [0.0, 0.0]])
 
 
-def test_sym_matrix_mirrors_upper_triangle():
-    m = sym_matrix([[1.0, 2.0], [9.0, 4.0]])
-    assert m.tolist() == [[1.0, 2.0], [2.0, 4.0]]
-    with pytest.raises(ValueError):
-        sym_matrix([[1.0, 2.0]])
-
-
 def test_interlacing_on_induced_subgraphs():
     rng = random.Random(31)
     done = 0
@@ -147,48 +132,36 @@ def test_average_degree_lower_bound():
         assert _lam(g, 1) >= 2 * len(g.edges) / g.n - 1e-9
 
 
-def test_validate_partition():
-    g = complete_graph(4)
-    parts = validate_partition(g, [[0], [3, 1, 2]])
-    assert parts == ((0,), (1, 2, 3))
-    with pytest.raises(ValueError):
-        validate_partition(g, [[0], [1, 2]])
-    with pytest.raises(ValueError):
-        validate_partition(g, [[0, 1], [1, 2, 3]])
-    with pytest.raises(ValueError):
-        validate_partition(g, [[], [0, 1, 2, 3]])
+# ---------------------------------------------------------------------------
+# the block-mean quotient oracle (tests/conftest.py)
 
 
 def test_quotient_matrix_examples():
     star = join(complete_graph(1), empty_graph(3))
-    q = quotient_matrix(star, [[0], [1, 2, 3]])
-    assert q.tolist() == [[0.0, 3.0], [1.0, 0.0]]
-    g = cycle_graph(6)
-    q = quotient_matrix(g, [range(6)])
-    assert q.tolist() == [[2.0]]
+    assert block_quotient(star, [[0], [1, 2, 3]])[1] == [[0.0, 3.0], [1.0, 0.0]]
+    assert block_quotient(cycle_graph(6), [range(6)])[1] == [[2.0]]
 
 
 def test_is_equitable():
     star = join(complete_graph(1), empty_graph(3))
-    assert is_equitable(star, [[0], [1, 2, 3]])
-    assert not is_equitable(cycle_graph(4), [[0], [1, 2, 3]])
+    assert block_quotient(star, [[0], [1, 2, 3]])[0]
+    assert not block_quotient(cycle_graph(4), [[0], [1, 2, 3]])[0]
     # antipodal halves of C4
-    assert is_equitable(cycle_graph(4), [[0, 2], [1, 3]])
+    assert block_quotient(cycle_graph(4), [[0, 2], [1, 3]])[0]
 
 
 def test_quotient_eigs_2x2():
-    top, bot = quotient_eigs_2x2([[0.0, 4.0], [3.0, 2.0]])
+    top, bot = quotient_roots([[0.0, 4.0], [3.0, 2.0]])
     assert abs(top - (1 + math.sqrt(13))) < 1e-12
     assert abs(bot - (1 - math.sqrt(13))) < 1e-12
-    assert quotient_eigs_2x2([[0.0, 0.0], [0.0, 0.0]]) == (0.0, 0.0)
+    assert quotient_roots([[0.0, 0.0], [0.0, 0.0]]) == (0.0, 0.0)
     # negative-entry matrix still has real roots via the formula
-    top, bot = quotient_eigs_2x2([[-2.0, 4.0], [1.0, 2.0]])
+    top, bot = quotient_roots([[-2.0, 4.0], [1.0, 2.0]])
     assert abs(top - 2 * math.sqrt(2)) < 1e-12
     assert abs(bot + 2 * math.sqrt(2)) < 1e-12
+    assert quotient_roots([[1.0]]) == (1.0,)
     with pytest.raises(ValueError):
-        quotient_eigs_2x2([[1.0]])
-    with pytest.raises(ValueError):
-        quotient_eigs_2x2([[0.0, -1.0], [1.0, 0.0]])
+        quotient_roots([[0.0, -1.0], [1.0, 0.0]])
 
 
 def test_equitable_partition_eigs_contained_in_spectrum():
@@ -198,12 +171,13 @@ def test_equitable_partition_eigs_contained_in_spectrum():
         (join(empty_graph(3), empty_graph(3)), [range(3), range(3, 6)]),
     ]
     for g, parts in cases:
-        assert is_equitable(g, parts)
+        equitable, q = block_quotient(g, parts)
+        assert equitable
         spec = eigenvalues_sym(adjacency_matrix(g)).values
-        for mu in quotient_eigs_2x2(quotient_matrix(g, parts)):
+        for mu in quotient_roots(q):
             assert min(abs(mu - lam) for lam in spec) < 1e-8
         # connected host: top quotient eigenvalue is the spectral radius
-        assert abs(quotient_eigs_2x2(quotient_matrix(g, parts))[0] - spec[0]) < 1e-8
+        assert abs(quotient_roots(q)[0] - spec[0]) < 1e-8
 
 
 def test_quotient_eigs_interlace_even_when_not_equitable():
@@ -213,8 +187,7 @@ def test_quotient_eigs_interlace_even_when_not_equitable():
         g = random_graph(rng, rng.randrange(4, 12), 0.5)
         cut = rng.randrange(1, g.n)
         parts = [list(range(cut)), list(range(cut, g.n))]
-        q = quotient_matrix(g, parts)
-        mu1, mu2 = quotient_eigs_2x2(q)
+        mu1, mu2 = quotient_roots(block_quotient(g, parts)[1])
         lam = eigenvalues_sym(adjacency_matrix(g)).values
         n = g.n
         assert mu1 <= lam[0] + 1e-8 and mu1 >= lam[n - 2] - 1e-8

@@ -3,32 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from oddfactor.graphs import (
-    complement,
-    complete_graph,
-    cycle_graph,
-    join,
-    matching_complement,
-)
-from oddfactor.spectral import (
-    adjacency_matrix,
-    complete_minus_matrix,
-    eigenvalues_sym,
-    is_equitable,
-    quotient_eigs_2x2,
-    quotient_matrix,
-)
+from oddfactor.graphs import complete_graph, cycle_graph, matching_complement
+from oddfactor.spectral import adjacency_matrix, complete_minus_matrix, eigenvalues_sym
 from oddfactor.thresholds import (
     DegenerateConstructionError,
     _check_missing,
     build_extremal,
     extremal_missing,
-    extremal_partition,
     lwy_threshold,
     prior_1factor_thresholds,
     threshold_params,
 )
-from oddfactor.verify import bound_sweep
+from oddfactor.verify import _missing_quotient, bound_sweep
+from conftest import block_quotient, complement, extremal_partition, join, quotient_roots
 
 SQRT2 = math.sqrt(2)
 
@@ -221,7 +208,7 @@ def test_build_extremal_degenerate_cases():
         with pytest.raises(DegenerateConstructionError):
             build_extremal(p)
         with pytest.raises(DegenerateConstructionError):
-            extremal_partition(p)
+            extremal_missing(p)
 
 
 def test_extremal_partition_blocks():
@@ -238,7 +225,8 @@ def test_extremal_partition_blocks():
 def test_extremal_partition_is_equitable():
     for r, b in ((7, 1), (4, 1), (5, 1), (11, 3), (8, 3)):
         p = threshold_params(r, b)
-        assert is_equitable(build_extremal(p), extremal_partition(p))
+        assert block_quotient(build_extremal(p), extremal_partition(p))[0]
+        assert _missing_quotient(*extremal_missing(p))[0]
 
 
 def test_claim2_structure_small_sweep():
@@ -266,12 +254,13 @@ def test_sharpness_and_quotient_agreement_sampled():
         assert abs(lam1 - p.rho) < 1e-9
         parts = extremal_partition(p)
         if len(parts) == 2:
-            top = quotient_eigs_2x2(quotient_matrix(h, parts))[0]
+            top = quotient_roots(block_quotient(h, parts)[1])[0]
             assert abs(top - p.rho) < 1e-9
 
 
 def test_quotient_agreement_full_sweep():
-    # closed-form route only: no dense eigensolve needed
+    # closed-form route only: the quotient read off the missing-pair set,
+    # with no dense eigensolve and no Graph
     seen = set()
     for r in range(3, 61):
         for b in range(1, r, 2):
@@ -279,19 +268,15 @@ def test_quotient_agreement_full_sweep():
             if (r % 2 == 1 and p.eta < 3) or (r, p.eta) in seen:
                 continue
             seen.add((r, p.eta))
-            h = build_extremal(p)
-            parts = extremal_partition(p)
-            q = quotient_matrix(h, parts)
-            top = float(q[0, 0]) if q.shape == (1, 1) else quotient_eigs_2x2(q)[0]
+            equitable, top = _missing_quotient(*extremal_missing(p))
+            assert equitable, (r, b)
             assert abs(top - p.rho) < 1e-9, (r, b)
 
 
 def test_known_quotient_matrix_shape():
     # odd case: [[eta-3, r+2-eta], [eta, r-eta]]
     p = threshold_params(5, 1)
-    q = quotient_matrix(build_extremal(p), extremal_partition(p))
-    assert q.tolist() == [[0.0, 4.0], [3.0, 2.0]]
+    assert block_quotient(build_extremal(p), extremal_partition(p))[1] == [[0.0, 4.0], [3.0, 2.0]]
     # even case: [[r-eta, eta], [r+1-eta, eta-2]]
     p = threshold_params(4, 1)
-    q = quotient_matrix(build_extremal(p), extremal_partition(p))
-    assert q.tolist() == [[2.0, 2.0], [3.0, 0.0]]
+    assert block_quotient(build_extremal(p), extremal_partition(p))[1] == [[2.0, 2.0], [3.0, 0.0]]

@@ -9,12 +9,19 @@ from pathlib import Path
 import pytest
 
 from oddfactor.factor import check_amahashi
-from oddfactor.graphs import Graph, complete_graph, components, cycle_graph, disjoint_union
+from oddfactor.graphs import Graph, complete_graph, complete_minus, cycle_graph
 from oddfactor.spectral import adjacency_matrix, eigenvalues_sym
-from oddfactor.thresholds import DegenerateConstructionError, threshold_params
+from oddfactor.thresholds import (
+    DegenerateConstructionError,
+    _check_missing,
+    build_extremal,
+    extremal_missing,
+    threshold_params,
+)
 from oddfactor.verify import (
     GUARD,
     SWEEP_CSV_HEADER,
+    _missing_quotient,
     _shuffle,
     _trial_seed,
     bound_sweep,
@@ -25,7 +32,17 @@ from oddfactor.verify import (
     sweep_to_csv,
     theorem_check,
 )
-from conftest import cubic_no_matching_16, petersen_graph, quartic_no_matching_22
+from conftest import (
+    block_quotient,
+    check_invariants,
+    components,
+    cubic_no_matching_16,
+    disjoint_union,
+    extremal_partition,
+    petersen_graph,
+    quartic_no_matching_22,
+    quotient_roots,
+)
 
 
 def circulant_4_regular_7():
@@ -41,7 +58,7 @@ def test_random_regular_basic():
     g = random_regular(10, 3, seed=1)
     assert g.n == 10 and len(g.edges) == 15
     assert g.regular_degree() == 3
-    assert g.check_invariants()
+    assert check_invariants(g)
 
 
 def test_random_regular_deterministic():
@@ -195,6 +212,47 @@ def test_sharpness_check_even():
     assert rep.passed
     assert abs(rep.lambda1 - (1 + math.sqrt(7))) < 1e-9
     assert rep.n_vertices == 5 and rep.edge_count == 9
+    # eta = 0: the extremal graph is K5, and its one degree class is the
+    # whole vertex set, so the quotient is the 1x1 matrix [r]
+    rep = sharpness_check(4, 3)
+    assert rep.passed and not rep.issues
+    assert rep.n_vertices == 5 and rep.edge_count == 10
+    assert rep.equitable
+    assert rep.quotient_top == 4.0
+
+
+def test_missing_quotient_matches_block_mean_oracle():
+    pairs = 0
+    for r in range(3, 61):
+        for b in range(1, r, 2):
+            p = threshold_params(r, b)
+            if r % 2 == 1 and p.eta < 3:
+                continue
+            order, missing = extremal_missing(p)
+            # the degree classes the missing set leaves are the paper's blocks
+            lost = [0] * order
+            for u, v in missing:
+                lost[u] += 1
+                lost[v] += 1
+            classes = {k: tuple(v for v in range(order) if lost[v] == k) for k in set(lost)}
+            parts = extremal_partition(p)
+            assert sorted(classes.values()) == sorted(parts), (r, b)
+            equitable, q = block_quotient(build_extremal(p), parts)
+            assert _missing_quotient(order, missing) == (equitable, quotient_roots(q)[0]), (r, b)
+            pairs += 1
+    assert pairs == 609
+
+
+def test_missing_quotient_reports_unequal_blocks():
+    # a valid extremal shape for r = 5, eta = 3 whose degree classes are not
+    # equitable: vertex 1 misses two pairs inside its class, vertex 0 one
+    missing = [(0, 1), (1, 2), (0, 3), (2, 4), (5, 6)]
+    _check_missing(5, 3, 7, missing)
+    equitable, top = _missing_quotient(7, missing)
+    assert not equitable
+    # the rows come from each class's smallest vertex: [[1, 3], [2, 3]]
+    assert top == (4 + math.sqrt(28)) / 2
+    assert not block_quotient(complete_minus(7, set(missing)), [range(3), range(3, 7)])[0]
 
 
 def test_sharpness_check_degenerate():
