@@ -18,8 +18,9 @@ import os
 import re
 import sys
 
-# spectral and verify load numpy, so only the spectrum and verify handlers
-# import them; the other commands start without it
+# spectral loads numpy. The spectrum handler imports it, and verify imports
+# it only in the checks that eigensolve (verify sharpness, verify campaign);
+# the other commands, verify sweep and case2 among them, start without numpy
 from .factor import (
     DEFAULT_MAX_N,
     FactorCertificate,

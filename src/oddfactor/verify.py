@@ -6,6 +6,12 @@ third eigenvalue sits below rho(r, b) yields a factor when searched; the
 minimal-component quotient polynomial is nonpositive at rho(r, b) across its
 whole parameter range; and the threshold compares against the earlier bounds
 over a full (r, b) sweep.
+
+The sweep takes lambda_1 of each extremal component from the integer
+quotient of its degree-class partition, certified by two integer equalities,
+so it eigensolves nothing. Only theorem_check and sharpness_check eigensolve,
+and they import spectral, and with it numpy, when they run; the sweep and the
+quotient-polynomial check start without numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from dataclasses import dataclass
 
 from .factor import find_odd_factor
 from .graphs import Graph, is_connected, serialize_edge_list
-from .spectral import adjacency_matrix, complete_minus_matrix, eigenvalues_sym
 from .thresholds import (
     DegenerateConstructionError,
     extremal_missing,
@@ -233,6 +238,8 @@ def theorem_check(g: Graph, b: int, seed: int | None = None) -> TrialReport:
     lambda_3 < rho - GUARD the factor search runs and its outcome is
     recorded. Otherwise the implication is silent and no search happens.
     """
+    from .spectral import adjacency_matrix, eigenvalues_sym
+
     t0 = time.perf_counter()
     if g.n % 2 != 0:
         raise ValueError(f"graph order must be even, got {g.n}")
@@ -259,22 +266,26 @@ def theorem_check(g: Graph, b: int, seed: int | None = None) -> TrialReport:
     )
 
 
-def _extremal_lambda1(p) -> float:
-    """lambda_1 of the extremal component, solved from its missing-pair set."""
-    return eigenvalues_sym(complete_minus_matrix(*extremal_missing(p))).values[0]
-
-
-def _missing_quotient(order: int, missing) -> tuple:
-    """(equitable, top root) of the quotient of K_order minus `missing` over
-    its degree classes, numbered in order of their smallest vertex. For the
-    extremal component these are the paper's blocks: _check_missing has
-    shown them to be eta vertices of degree r-1 and the rest of degree r.
+def _missing_quotient(p, order: int, missing) -> tuple:
+    """(equitable, rows, top root, certified) of the quotient of K_order
+    minus `missing` over its degree classes, numbered in order of their
+    smallest vertex. For the extremal component of p these are the paper's
+    blocks: _check_missing has shown them to be eta vertices of degree r-1
+    and the rest of degree r.
 
     A vertex of block i has as neighbours in block j the vertices of j,
     less itself and less the pairs it misses into j. The partition is
     equitable when every vertex of a block misses the same number of pairs
     into each block; the integer quotient rows are read off each block's
     smallest vertex.
+
+    On a connected graph the top root of an equitable quotient is lambda_1
+    (Godsil and Royle, Algebraic Graph Theory, ch. 9). The root is certified
+    to be rho(r, b) when the partition is equitable and, with x = r mod 2,
+    the rows [[a, b], [c, d]] have trace r - 2 - x and discriminant
+    (a - d)^2 + 4bc = (r + 2 + x)^2 - 4 eta; with one block (eta = 0), when
+    the single entry is r. Both are integer equalities, and the certified
+    root is computed from the same integers as p.rho, so it equals p.rho.
     """
     lost = [0] * order
     for u, v in missing:
@@ -291,25 +302,34 @@ def _missing_quotient(order: int, missing) -> tuple:
     equitable = all(into[v] == into[first[block[v]]] for v in range(order))
     q = [[block.count(j) - (i == j) - into[first[i]][j] for j in range(k)] for i in range(k)]
     if k == 1:
-        return equitable, float(q[0][0])
+        return equitable, q, float(q[0][0]), equitable and q[0][0] == p.r
     (a, b), (c, d) = q
-    return equitable, (a + d + math.sqrt((a - d) ** 2 + 4 * b * c)) / 2
+    x = p.parity_offset
+    certified = (
+        equitable
+        and a + d == p.r - 2 - x
+        and (a - d) ** 2 + 4 * b * c == (p.r + 2 + x) ** 2 - 4 * p.eta
+    )
+    return equitable, q, (a + d + math.sqrt((a - d) ** 2 + 4 * b * c)) / 2, certified
 
 
 def sharpness_check(r: int, b: int) -> SharpnessReport:
     """Confirm that the extremal component attains rho(r, b), from its
     missing-pair set alone.
 
-    Checks the eigenvalue, the equitability of the degree-class partition,
-    and the agreement of the quotient eigenvalue; extremal_missing has
-    already checked the edge count and the degree profile. Raises
-    DegenerateConstructionError when no construction exists (odd r with
-    eta < 3).
+    Checks the eigenvalue, solved independently of the quotient, the
+    equitability of the degree-class partition, the agreement of the
+    quotient eigenvalue and the quotient's integer certificate;
+    extremal_missing has already checked the edge count and the degree
+    profile. Raises DegenerateConstructionError when no construction exists
+    (odd r with eta < 3).
     """
+    from .spectral import complete_minus_matrix, eigenvalues_sym
+
     p = threshold_params(r, b)
     order, missing = extremal_missing(p)
     lam1 = eigenvalues_sym(complete_minus_matrix(order, missing)).values[0]
-    equitable, q_top = _missing_quotient(order, missing)
+    equitable, rows, q_top, certified = _missing_quotient(p, order, missing)
 
     issues = []
     if abs(lam1 - p.rho) >= GUARD:
@@ -318,6 +338,8 @@ def sharpness_check(r: int, b: int) -> SharpnessReport:
         issues.append("construction partition is not equitable")
     if abs(q_top - p.rho) >= GUARD:
         issues.append(f"quotient eigenvalue {q_top!r} differs from rho={p.rho!r}")
+    if not certified:
+        issues.append(f"integer quotient {rows} does not certify rho")
 
     return SharpnessReport(
         r=r,
@@ -373,15 +395,17 @@ def case2_polynomial_check(r: int, b: int) -> Case2Report:
 
 def bound_sweep(r_max: int) -> list:
     """One row per (r, b) with 3 <= r <= r_max and odd b < r: every
-    closed-form bound plus the realized lambda_1.
+    closed-form bound plus lambda1_H, the top root of the extremal
+    component's integer quotient (see _missing_quotient).
 
+    A row is sharp when that root is certified and lies within GUARD of rho.
     lambda1_H stays None on degenerate constructions (odd r, eta < 3). Each
     row records its own validation outcomes instead of raising, so a single
     offending pair cannot take down the rest of the sweep.
     """
     if r_max < 3:
         raise ValueError(f"r_max must be at least 3, got {r_max}")
-    lam1_cache: dict = {}
+    root_cache: dict = {}
     rows = []
     pairs = [(r, b) for r in range(3, r_max + 1) for b in range(1, r, 2)]
     for r, b in pairs:
@@ -389,12 +413,14 @@ def bound_sweep(r_max: int) -> list:
         lwy = lwy_threshold(r, b)
         bh, cgh = prior_1factor_thresholds(r)
         key = (r, p.eta)
-        if key not in lam1_cache:
+        if key not in root_cache:
             try:
-                lam1_cache[key] = _extremal_lambda1(p)
+                order, missing = extremal_missing(p)
             except DegenerateConstructionError:
-                lam1_cache[key] = None
-        lam1 = lam1_cache[key]
+                root_cache[key] = None, False
+            else:
+                root_cache[key] = _missing_quotient(p, order, missing)[2:]
+        lam1, certified = root_cache[key]
         rows.append(
             SweepRow(
                 r=r,
@@ -409,7 +435,7 @@ def bound_sweep(r_max: int) -> list:
                 lambda1_H=lam1,
                 rho_ge_lwy=p.rho >= lwy,
                 lwy_tie=abs(p.rho - lwy) <= GUARD,
-                sharpness_ok=None if lam1 is None else abs(lam1 - p.rho) < GUARD,
+                sharpness_ok=None if lam1 is None else certified and abs(lam1 - p.rho) < GUARD,
             )
         )
     return rows

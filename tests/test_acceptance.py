@@ -254,7 +254,7 @@ def test_criterion_8_spectral_foundation(sweep_data):
     for p, h, parts, spec in sweep_data:
         if h is None:
             continue
-        equitable, top = _missing_quotient(*extremal_missing(p))
+        equitable, _, top, _ = _missing_quotient(p, *extremal_missing(p))
         oracle_equitable, q = block_quotient(h, parts)
         if not (equitable and oracle_equitable):
             issues.append(f"partition not equitable at ({p.r},{p.b})")

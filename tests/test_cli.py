@@ -196,9 +196,10 @@ def test_benchmark_argument_shapes(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["trials"] == 2
 
 
-def test_only_spectrum_loads_numpy():
+def test_only_eigensolving_commands_load_numpy():
     # modules loaded before the import (site hooks) do not count, nor the
-    # alias multiprocessing gives __main__; the last stdout line is the report
+    # alias multiprocessing gives __main__; the last stdout line is the report;
+    # each eigensolving command, given as argv, runs last in its own process
     code = """
 import json, sys
 before = set(sys.modules)
@@ -212,19 +213,26 @@ for argv in (
     ["construct", "H:r=5,b=1"],
     ["check", "C6", "--b", "1"],
     ["find-factor", "C6", "--b", "1"],
+    ["verify", "sweep", "--r-max", "6"],
+    ["verify", "case2", "--r", "7", "--b", "1"],
 ):
     assert main(argv) == 0, argv
 seen.append(third_party())
-assert main(["spectrum", "K3"]) == 0
+assert main(sys.argv[1:]) == 0
 seen.append(third_party())
 print(json.dumps(seen))
 """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert json.loads(out.splitlines()[-1]) == [[], [], ["numpy"]]
+    for eigensolving in (["spectrum", "K3"], ["verify", "sharpness", "--r", "4", "--b", "1"]):
+        out = subprocess.run(
+            [sys.executable, "-c", code, *eigensolving],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert json.loads(out.splitlines()[-1]) == [[], [], ["numpy"]], eigensolving
 
 
 def test_only_a_parallel_campaign_loads_multiprocessing():

@@ -163,8 +163,9 @@ def test_build_extremal_matches_join_oracle():
 
 
 def test_missing_pair_matrix_matches_graph_oracle():
-    # the sweep solves lambda_1 from the missing-pair matrix; it must be the
-    # very matrix, and so the very eigenvalue, of the built Graph
+    # the missing-pair matrix must be the very matrix of the built Graph, and
+    # the sweep's certified quotient root must be rho exactly and agree with
+    # the dense eigensolve of that Graph, the independent numeric check
     lam1 = {}
     for r in range(3, 61):
         for b in range(1, r, 2):
@@ -180,7 +181,12 @@ def test_missing_pair_matrix_matches_graph_oracle():
     rows = bound_sweep(60)
     assert len(rows) == 899
     for row in rows:
-        assert row.lambda1_H == lam1.get((row.r, row.b)), (row.r, row.b)
+        if (row.r, row.b) not in lam1:
+            assert row.lambda1_H is None and row.sharpness_ok is None, (row.r, row.b)
+            continue
+        assert row.lambda1_H == row.rho, (row.r, row.b)
+        assert abs(row.lambda1_H - lam1[row.r, row.b]) <= 1e-12, (row.r, row.b)
+        assert row.sharpness_ok, (row.r, row.b)
 
 
 def test_check_missing_rejects_broken_sets():
@@ -226,7 +232,7 @@ def test_extremal_partition_is_equitable():
     for r, b in ((7, 1), (4, 1), (5, 1), (11, 3), (8, 3)):
         p = threshold_params(r, b)
         assert block_quotient(build_extremal(p), extremal_partition(p))[0]
-        assert _missing_quotient(*extremal_missing(p))[0]
+        assert _missing_quotient(p, *extremal_missing(p))[0]
 
 
 def test_claim2_structure_small_sweep():
@@ -268,8 +274,8 @@ def test_quotient_agreement_full_sweep():
             if (r % 2 == 1 and p.eta < 3) or (r, p.eta) in seen:
                 continue
             seen.add((r, p.eta))
-            equitable, top = _missing_quotient(*extremal_missing(p))
-            assert equitable, (r, b)
+            equitable, _, top, certified = _missing_quotient(p, *extremal_missing(p))
+            assert equitable and certified, (r, b)
             assert abs(top - p.rho) < 1e-9, (r, b)
 
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from oddfactor import verify
+from oddfactor.cli import main
 from oddfactor.factor import check_amahashi
 from oddfactor.graphs import Graph, complete_graph, complete_minus, cycle_graph
 from oddfactor.spectral import adjacency_matrix, eigenvalues_sym
@@ -238,7 +240,8 @@ def test_missing_quotient_matches_block_mean_oracle():
             parts = extremal_partition(p)
             assert sorted(classes.values()) == sorted(parts), (r, b)
             equitable, q = block_quotient(build_extremal(p), parts)
-            assert _missing_quotient(order, missing) == (equitable, quotient_roots(q)[0]), (r, b)
+            want = (equitable, q, quotient_roots(q)[0], True)
+            assert _missing_quotient(p, order, missing) == want, (r, b)
             pairs += 1
     assert pairs == 609
 
@@ -248,11 +251,79 @@ def test_missing_quotient_reports_unequal_blocks():
     # equitable: vertex 1 misses two pairs inside its class, vertex 0 one
     missing = [(0, 1), (1, 2), (0, 3), (2, 4), (5, 6)]
     _check_missing(5, 3, 7, missing)
-    equitable, top = _missing_quotient(7, missing)
-    assert not equitable
-    # the rows come from each class's smallest vertex: [[1, 3], [2, 3]]
+    equitable, rows, top, certified = _missing_quotient(threshold_params(5, 1), 7, missing)
+    assert not equitable and not certified
+    # the rows come from each class's smallest vertex
+    assert rows == [[1, 3], [2, 3]]
     assert top == (4 + math.sqrt(28)) / 2
     assert not block_quotient(complete_minus(7, set(missing)), [range(3), range(3, 7)])[0]
+
+
+def test_quotient_certificate_holds_up_to_r_200():
+    # the two integer equalities hold on every constructible pair, and the
+    # certified root is rho to the last bit
+    pairs = set()
+    for r in range(3, 201):
+        for b in range(1, r, 2):
+            p = threshold_params(r, b)
+            if r % 2 == 1 and p.eta < 3:
+                continue
+            equitable, rows, top, certified = _missing_quotient(p, *extremal_missing(p))
+            assert equitable and certified, (r, b, rows)
+            assert top == p.rho, (r, b)
+            pairs.add((r, b, p.eta))
+    assert len(pairs) == 6699 and len({(r, eta) for r, _, eta in pairs}) == 1734
+
+
+# valid extremal shapes for (5, 1) whose degree classes are not equitable,
+# with the rows read off each class's smallest vertex; the second set's rows
+# are those of the true quotient, so only the equitability check rejects it
+UNEQUAL_5_1 = [
+    (((0, 1), (1, 2), (0, 3), (2, 4), (5, 6)), [[1, 3], [2, 3]]),
+    (((0, 1), (0, 2), (1, 5), (2, 6), (3, 4)), [[0, 4], [3, 2]]),
+]
+
+
+@pytest.mark.parametrize("missing, rows", UNEQUAL_5_1)
+def test_failed_certificate_breaks_sharpness(missing, rows, monkeypatch, capsys):
+    _check_missing(5, 3, 7, missing)
+    real = verify.extremal_missing
+    monkeypatch.setattr(
+        verify, "extremal_missing", lambda p: (7, missing) if (p.r, p.b) == (5, 1) else real(p)
+    )
+    by_pair = {(row.r, row.b): row for row in bound_sweep(5)}
+    assert by_pair[5, 1].sharpness_ok is False
+    assert all(row.sharpness_ok is not False for pair, row in by_pair.items() if pair != (5, 1))
+    assert main(["verify", "sweep", "--r-max", "5"]) == 4
+    err = capsys.readouterr().err
+    assert "sharpness violated at (r=5, b=1)" in err
+    assert err.count("sharpness violated") == 1
+    rep = sharpness_check(5, 1)
+    assert not rep.passed and not rep.equitable
+    assert f"integer quotient {rows} does not certify rho" in rep.issues
+
+
+def test_one_block_certificate():
+    # eta = 0: the extremal graph is K_{r+1}, one block whose entry is r
+    row = {(row.r, row.b): row for row in bound_sweep(4)}[4, 3]
+    assert row.eta == 0
+    assert row.lambda1_H == 4.0 and row.sharpness_ok is True
+    p = threshold_params(4, 3)
+    assert _missing_quotient(p, *extremal_missing(p)) == (True, [[4]], 4.0, True)
+    # the same block with a wrong degree does not certify
+    assert _missing_quotient(threshold_params(3, 1), 5, ()) == (True, [[4]], 4.0, False)
+
+
+def test_certificate_rejects_another_pairs_quotient():
+    # an equitable quotient certifies only the eta it was built for: the
+    # extremal set of (11, 1), eta = 9, checked against (11, 3), eta = 3,
+    # has the right trace and the wrong discriminant
+    built_for = threshold_params(11, 1)
+    equitable, _, top, certified = _missing_quotient(
+        threshold_params(11, 3), *extremal_missing(built_for)
+    )
+    assert equitable and not certified
+    assert top == built_for.rho
 
 
 def test_sharpness_check_degenerate():
