@@ -11,6 +11,7 @@ vertex deletion lives in the tests, where it serves as an oracle.
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
 from typing import Iterable
 
@@ -68,13 +69,18 @@ class Graph:
     __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, edges: Iterable = ()):
-        n = int(n)
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise VertexRangeError(f"vertex count must be an integer, got {n!r}") from None
         if n < 0:
             raise VertexRangeError(f"vertex count must be nonnegative, got {n}")
         canon = set()
         for e in edges:
-            u, v = e
-            u, v = int(u), int(v)
+            try:
+                u, v = map(operator.index, e)
+            except (TypeError, ValueError):
+                raise MalformedEdgeError(f"edge {e!r} is not a pair of integers") from None
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
             if not (0 <= u < n) or not (0 <= v < n):

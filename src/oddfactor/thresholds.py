@@ -7,8 +7,10 @@ guaranteed. Its four parity branches (parity of r crossed with parity of
 ceil(r/b)) collapse to a single form in terms of the derived quantity eta,
 which is the one computed here. Also here: the older Brouwer-Haemers and
 Cioaba-Gregory-Haemers 1-factor thresholds, the Lu-Wu-Yang odd-[1,b]
-threshold, and the extremal component construction whose largest eigenvalue
-equals rho(r, b).
+threshold, and the extremal component whose largest eigenvalue equals
+rho(r, b). That component is K_order minus a sparse missing-pair set; only
+this module reads such a set, and it hands the set out checked, with the
+certified integer quotient of its degree classes.
 """
 
 from __future__ import annotations
@@ -126,15 +128,16 @@ def prior_1factor_thresholds(r: int) -> tuple:
 
 
 def extremal_missing(p: ThresholdParams) -> tuple:
-    """The extremal component H as (order, missing): H is K_order without the
-    pairs (u, v), u < v, in the tuple `missing`.
+    """The extremal component H as (order, missing, quotient): H is K_order
+    without the pairs (u, v), u < v, in the tuple `missing`, and quotient is
+    _missing_quotient(p, order, missing), which checks the set first.
 
     r even: K_{r+1} minus a perfect matching on its last eta vertices, that
     is, a clique of size r+1-eta joined to a matching complement on eta
     vertices. r odd: K_{r+2} minus a cycle on its first eta vertices and a
     perfect matching on the other r+2-eta, that is, a cycle complement
     joined to a matching complement; undefined when eta < 3 since a cycle
-    needs at least three vertices. The set is checked before it is returned.
+    needs at least three vertices.
     """
     r, eta = p.r, p.eta
     if r % 2 == 0:
@@ -149,15 +152,26 @@ def extremal_missing(p: ThresholdParams) -> tuple:
         missing = [(i, i + 1) for i in range(eta - 1)] + [(0, eta - 1)]
         missing += [(i, i + 1) for i in range(eta, r + 2, 2)]
     order = r + 1 + p.parity_offset
-    _check_missing(r, eta, order, missing)
-    return order, tuple(missing)
+    return order, tuple(missing), _missing_quotient(p, order, missing)
 
 
-def _check_missing(r: int, eta: int, order: int, missing) -> None:
-    """Raise AssertionError unless K_order minus `missing` is the extremal
-    component's shape: distinct pairs 0 <= u < v < order whose removal
-    leaves r*order - eta edge ends, eta vertices of degree r-1 and the rest
-    of degree r."""
+def _missing_quotient(p: ThresholdParams, order: int, missing) -> tuple:
+    """(equitable, rows, top root, certified) for K_order minus `missing`.
+
+    Raises AssertionError unless the pairs are distinct, 0 <= u < v < order,
+    and leave r*order - eta edge ends: eta vertices of degree r-1 and the
+    rest of degree r. These at most two degree classes, numbered by their
+    smallest vertex, are the paper's blocks. The partition is equitable when
+    every vertex misses as many pairs inside its class as the class's
+    smallest vertex, whose row is the class's quotient row.
+
+    On a connected graph the top root of an equitable quotient is lambda_1
+    (Godsil and Royle, Algebraic Graph Theory, ch. 9). It is certified to be
+    rho(r, b), and then equals p.rho, when the partition is equitable and,
+    with x = r mod 2, the rows [[a, b], [c, d]] have trace r - 2 - x and
+    (a - d)^2 + 4bc = (r + 2 + x)^2 - 4 eta; with one class, when its entry is r.
+    """
+    r, eta = p.r, p.eta
     if len(set(missing)) != len(missing):
         raise AssertionError(f"extremal missing pairs repeat: {missing}")
     lost = [0] * order
@@ -174,24 +188,32 @@ def _check_missing(r: int, eta: int, order: int, missing) -> None:
     degs = [order - 1 - k for k in lost]
     if degs.count(r - 1) != eta or degs.count(r) != order - eta:
         raise AssertionError(f"extremal degree profile broken: {sorted(degs)}")
+    inner = [0] * order
+    for u, v in missing:
+        if lost[u] == lost[v]:
+            inner[u] += 1
+            inner[v] += 1
+    # each class, keyed by its vertices' missing count, as its smallest vertex
+    first = {k: lost.index(k) for k in dict.fromkeys(lost)}
+    size = {k: lost.count(k) for k in first}
+    equitable = all(inner[v] == inner[first[k]] for v, k in enumerate(lost))
+    q = [
+        [size[j] - 1 - inner[f] if j == i else size[j] - lost[f] + inner[f] for j in first]
+        for i, f in first.items()
+    ]
+    if len(q) == 1:
+        return equitable, q, float(q[0][0]), equitable and q[0][0] == r
+    (a, b), (c, d) = q
+    x = p.parity_offset
+    disc = (a - d) ** 2 + 4 * b * c
+    certified = equitable and a + d == r - 2 - x and disc == (r + 2 + x) ** 2 - 4 * eta
+    return equitable, q, (a + d + math.sqrt(disc)) / 2, certified
 
 
 def build_extremal(p: ThresholdParams) -> Graph:
     """The extremal component H on r+1 (r even) or r+2 (r odd) vertices with
     largest adjacency eigenvalue exactly rho(r, b), built as a Graph from
-    extremal_missing(p).
+    the set extremal_missing(p) has checked.
     """
-    r, eta = p.r, p.eta
-    expected_n, missing = extremal_missing(p)
-    h = complete_minus(expected_n, set(missing))
-    if h.n != expected_n:
-        raise AssertionError(f"extremal graph has {h.n} vertices, expected {expected_n}")
-    if 2 * len(h.edges) != r * expected_n - eta:
-        raise AssertionError(
-            f"extremal graph has {len(h.edges)} edges, expected {(r * expected_n - eta) / 2}"
-        )
-    degs = h.degrees()
-    if degs.count(r - 1) != eta or degs.count(r) != expected_n - eta:
-        raise AssertionError(f"extremal degree profile broken: {sorted(degs)}")
-    return h
-
+    order, missing, _ = extremal_missing(p)
+    return complete_minus(order, set(missing))

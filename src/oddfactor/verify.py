@@ -8,15 +8,15 @@ whole parameter range; and the threshold compares against the earlier bounds
 over a full (r, b) sweep.
 
 The sweep takes lambda_1 of each extremal component from the integer
-quotient of its degree-class partition, certified by two integer equalities,
-so it eigensolves nothing. Only theorem_check and sharpness_check eigensolve,
+quotient of its degree-class partition, which thresholds reads off the
+component's missing-pair set and certifies by two integer equalities, so it
+eigensolves nothing. Only theorem_check and sharpness_check eigensolve,
 and they import spectral, and with it numpy, when they run; the sweep and the
 quotient-polynomial check start without numpy.
 """
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass
@@ -266,53 +266,6 @@ def theorem_check(g: Graph, b: int, seed: int | None = None) -> TrialReport:
     )
 
 
-def _missing_quotient(p, order: int, missing) -> tuple:
-    """(equitable, rows, top root, certified) of the quotient of K_order
-    minus `missing` over its degree classes, numbered in order of their
-    smallest vertex. For the extremal component of p these are the paper's
-    blocks: _check_missing has shown them to be eta vertices of degree r-1
-    and the rest of degree r.
-
-    A vertex of block i has as neighbours in block j the vertices of j,
-    less itself and less the pairs it misses into j. The partition is
-    equitable when every vertex of a block misses the same number of pairs
-    into each block; the integer quotient rows are read off each block's
-    smallest vertex.
-
-    On a connected graph the top root of an equitable quotient is lambda_1
-    (Godsil and Royle, Algebraic Graph Theory, ch. 9). The root is certified
-    to be rho(r, b) when the partition is equitable and, with x = r mod 2,
-    the rows [[a, b], [c, d]] have trace r - 2 - x and discriminant
-    (a - d)^2 + 4bc = (r + 2 + x)^2 - 4 eta; with one block (eta = 0), when
-    the single entry is r. Both are integer equalities, and the certified
-    root is computed from the same integers as p.rho, so it equals p.rho.
-    """
-    lost = [0] * order
-    for u, v in missing:
-        lost[u] += 1
-        lost[v] += 1
-    ids: dict = {}
-    block = [ids.setdefault(k, len(ids)) for k in lost]
-    k = len(ids)
-    into = [[0] * k for _ in range(order)]
-    for u, v in missing:
-        into[u][block[v]] += 1
-        into[v][block[u]] += 1
-    first = [block.index(i) for i in range(k)]
-    equitable = all(into[v] == into[first[block[v]]] for v in range(order))
-    q = [[block.count(j) - (i == j) - into[first[i]][j] for j in range(k)] for i in range(k)]
-    if k == 1:
-        return equitable, q, float(q[0][0]), equitable and q[0][0] == p.r
-    (a, b), (c, d) = q
-    x = p.parity_offset
-    certified = (
-        equitable
-        and a + d == p.r - 2 - x
-        and (a - d) ** 2 + 4 * b * c == (p.r + 2 + x) ** 2 - 4 * p.eta
-    )
-    return equitable, q, (a + d + math.sqrt((a - d) ** 2 + 4 * b * c)) / 2, certified
-
-
 def sharpness_check(r: int, b: int) -> SharpnessReport:
     """Confirm that the extremal component attains rho(r, b), from its
     missing-pair set alone.
@@ -327,9 +280,8 @@ def sharpness_check(r: int, b: int) -> SharpnessReport:
     from .spectral import complete_minus_matrix, eigenvalues_sym
 
     p = threshold_params(r, b)
-    order, missing = extremal_missing(p)
+    order, missing, (equitable, rows, q_top, certified) = extremal_missing(p)
     lam1 = eigenvalues_sym(complete_minus_matrix(order, missing)).values[0]
-    equitable, rows, q_top, certified = _missing_quotient(p, order, missing)
 
     issues = []
     if abs(lam1 - p.rho) >= GUARD:
@@ -396,7 +348,8 @@ def case2_polynomial_check(r: int, b: int) -> Case2Report:
 def bound_sweep(r_max: int) -> list:
     """One row per (r, b) with 3 <= r <= r_max and odd b < r: every
     closed-form bound plus lambda1_H, the top root of the extremal
-    component's integer quotient (see _missing_quotient).
+    component's integer quotient, which thresholds.extremal_missing returns
+    with the set it has checked.
 
     A row is sharp when that root is certified and lies within GUARD of rho.
     lambda1_H stays None on degenerate constructions (odd r, eta < 3). Each
@@ -415,11 +368,9 @@ def bound_sweep(r_max: int) -> list:
         key = (r, p.eta)
         if key not in root_cache:
             try:
-                order, missing = extremal_missing(p)
+                root_cache[key] = extremal_missing(p)[2][2:]
             except DegenerateConstructionError:
                 root_cache[key] = None, False
-            else:
-                root_cache[key] = _missing_quotient(p, order, missing)[2:]
         lam1, certified = root_cache[key]
         rows.append(
             SweepRow(
@@ -469,6 +420,10 @@ def sweep_to_csv(rows) -> str:
 
 # ---------------------------------------------------------------------------
 # randomized campaign
+
+
+# trials per task sent to a campaign worker
+_CAMPAIGN_CHUNKSIZE = 8
 
 
 def _trial_seed(master_seed: int, index: int) -> int:
@@ -533,8 +488,10 @@ def randomized_theorem_campaign(
         # imported here so that a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_campaign_trial, specs, chunksize=8))
+        # the pool forks all its workers at once, so it gets one per chunk at most
+        workers = min(jobs, -(-trials // _CAMPAIGN_CHUNKSIZE))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(_campaign_trial, specs, chunksize=_CAMPAIGN_CHUNKSIZE))
     else:
         reports = [_campaign_trial(s) for s in specs]
 

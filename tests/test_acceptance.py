@@ -23,7 +23,6 @@ from oddfactor.thresholds import (
     threshold_params,
 )
 from oddfactor.verify import (
-    _missing_quotient,
     case2_polynomial_check,
     randomized_theorem_campaign,
     theorem_check,
@@ -254,7 +253,7 @@ def test_criterion_8_spectral_foundation(sweep_data):
     for p, h, parts, spec in sweep_data:
         if h is None:
             continue
-        equitable, _, top, _ = _missing_quotient(p, *extremal_missing(p))
+        equitable, _, top, _ = extremal_missing(p)[2]
         oracle_equitable, q = block_quotient(h, parts)
         if not (equitable and oracle_equitable):
             issues.append(f"partition not equitable at ({p.r},{p.b})")

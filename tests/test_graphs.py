@@ -153,6 +153,15 @@ def test_graph_constructor_errors():
         Graph(3, [(-1, 0)])
     with pytest.raises(VertexRangeError):
         Graph(-1)
+    # labels must be integers, neither truncated nor parsed; both errors are
+    # GraphErrors, which the CLI reports with exit 2
+    with pytest.raises(VertexRangeError, match="must be an integer"):
+        Graph(2.7)
+    with pytest.raises(VertexRangeError, match="must be an integer"):
+        Graph("3")
+    for edge in ((0, 1.5), ("1", "2"), (0, 1, 2), (0,), 5, None):
+        with pytest.raises(MalformedEdgeError, match="is not a pair of integers"):
+            Graph(3, [edge])
     # set semantics: duplicates and reversed pairs collapse
     g = Graph(3, [(1, 0), (0, 1), (0, 1)])
     assert g.edges == ((0, 1),)

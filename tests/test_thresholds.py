@@ -7,14 +7,14 @@ from oddfactor.graphs import complete_graph, cycle_graph, matching_complement
 from oddfactor.spectral import adjacency_matrix, complete_minus_matrix, eigenvalues_sym
 from oddfactor.thresholds import (
     DegenerateConstructionError,
-    _check_missing,
+    _missing_quotient,
     build_extremal,
     extremal_missing,
     lwy_threshold,
     prior_1factor_thresholds,
     threshold_params,
 )
-from oddfactor.verify import _missing_quotient, bound_sweep
+from oddfactor.verify import bound_sweep
 from conftest import block_quotient, complement, extremal_partition, join, quotient_roots
 
 SQRT2 = math.sqrt(2)
@@ -175,7 +175,7 @@ def test_missing_pair_matrix_matches_graph_oracle():
                     extremal_missing(p)
                 continue
             a = adjacency_matrix(build_extremal(p))
-            assert np.array_equal(complete_minus_matrix(*extremal_missing(p)), a), (r, b)
+            assert np.array_equal(complete_minus_matrix(*extremal_missing(p)[:2]), a), (r, b)
             lam1[r, b] = eigenvalues_sym(a).values[0]
     assert len(lam1) == 609
     rows = bound_sweep(60)
@@ -191,19 +191,20 @@ def test_missing_pair_matrix_matches_graph_oracle():
 
 def test_check_missing_rejects_broken_sets():
     # the extremal shape for r = 5, eta = 3: K_7 minus a triangle and a 2-matching
+    p = threshold_params(5, 1)
     good = [(0, 1), (1, 2), (0, 2), (3, 4), (5, 6)]
-    _check_missing(5, 3, 7, good)
-    assert extremal_missing(threshold_params(5, 1)) == (7, tuple(good))
-    for broken in (
-        good + [(0, 1)],  # a repeated pair
-        good[:-1] + [(6, 5)],  # u > v
-        good[:-1] + [(5, 7)],  # v outside the graph
-        good[:-1] + [(-1, 5)],  # u below 0
-        good[:-1],  # one edge too many
-        good[:-1] + [(3, 5)],  # right count, wrong degree profile
+    assert _missing_quotient(p, 7, good) == (True, [[0, 4], [3, 2]], p.rho, True)
+    assert extremal_missing(p) == (7, tuple(good), _missing_quotient(p, 7, good))
+    for broken, message in (
+        (good + [(0, 1)], "extremal missing pairs repeat"),
+        (good[:-1] + [(6, 5)], r"extremal missing pair \(6, 5\) is not u < v < 7"),
+        (good[:-1] + [(5, 7)], r"extremal missing pair \(5, 7\) is not u < v < 7"),
+        (good[:-1] + [(-1, 5)], r"extremal missing pair \(-1, 5\) is not u < v < 7"),
+        (good[:-1], r"extremal graph would have 17 edges, expected 16\.0"),
+        (good[:-1] + [(3, 5)], r"extremal degree profile broken: \[4, 4, 4, 4, 5, 5, 6\]"),
     ):
-        with pytest.raises(AssertionError):
-            _check_missing(5, 3, 7, broken)
+        with pytest.raises(AssertionError, match=message):
+            _missing_quotient(p, 7, broken)
 
 
 def test_build_extremal_degenerate_cases():
@@ -232,7 +233,7 @@ def test_extremal_partition_is_equitable():
     for r, b in ((7, 1), (4, 1), (5, 1), (11, 3), (8, 3)):
         p = threshold_params(r, b)
         assert block_quotient(build_extremal(p), extremal_partition(p))[0]
-        assert _missing_quotient(p, *extremal_missing(p))[0]
+        assert extremal_missing(p)[2][0]
 
 
 def test_claim2_structure_small_sweep():
@@ -274,7 +275,7 @@ def test_quotient_agreement_full_sweep():
             if (r % 2 == 1 and p.eta < 3) or (r, p.eta) in seen:
                 continue
             seen.add((r, p.eta))
-            equitable, _, top, certified = _missing_quotient(p, *extremal_missing(p))
+            equitable, _, top, certified = extremal_missing(p)[2]
             assert equitable and certified, (r, b)
             assert abs(top - p.rho) < 1e-9, (r, b)
 

@@ -15,7 +15,7 @@ from oddfactor.graphs import Graph, complete_graph, complete_minus, cycle_graph
 from oddfactor.spectral import adjacency_matrix, eigenvalues_sym
 from oddfactor.thresholds import (
     DegenerateConstructionError,
-    _check_missing,
+    _missing_quotient,
     build_extremal,
     extremal_missing,
     threshold_params,
@@ -23,7 +23,6 @@ from oddfactor.thresholds import (
 from oddfactor.verify import (
     GUARD,
     SWEEP_CSV_HEADER,
-    _missing_quotient,
     _shuffle,
     _trial_seed,
     bound_sweep,
@@ -230,7 +229,7 @@ def test_missing_quotient_matches_block_mean_oracle():
             p = threshold_params(r, b)
             if r % 2 == 1 and p.eta < 3:
                 continue
-            order, missing = extremal_missing(p)
+            order, missing, quotient = extremal_missing(p)
             # the degree classes the missing set leaves are the paper's blocks
             lost = [0] * order
             for u, v in missing:
@@ -241,7 +240,7 @@ def test_missing_quotient_matches_block_mean_oracle():
             assert sorted(classes.values()) == sorted(parts), (r, b)
             equitable, q = block_quotient(build_extremal(p), parts)
             want = (equitable, q, quotient_roots(q)[0], True)
-            assert _missing_quotient(p, order, missing) == want, (r, b)
+            assert quotient == want, (r, b)
             pairs += 1
     assert pairs == 609
 
@@ -250,7 +249,6 @@ def test_missing_quotient_reports_unequal_blocks():
     # a valid extremal shape for r = 5, eta = 3 whose degree classes are not
     # equitable: vertex 1 misses two pairs inside its class, vertex 0 one
     missing = [(0, 1), (1, 2), (0, 3), (2, 4), (5, 6)]
-    _check_missing(5, 3, 7, missing)
     equitable, rows, top, certified = _missing_quotient(threshold_params(5, 1), 7, missing)
     assert not equitable and not certified
     # the rows come from each class's smallest vertex
@@ -268,7 +266,7 @@ def test_quotient_certificate_holds_up_to_r_200():
             p = threshold_params(r, b)
             if r % 2 == 1 and p.eta < 3:
                 continue
-            equitable, rows, top, certified = _missing_quotient(p, *extremal_missing(p))
+            equitable, rows, top, certified = extremal_missing(p)[2]
             assert equitable and certified, (r, b, rows)
             assert top == p.rho, (r, b)
             pairs.add((r, b, p.eta))
@@ -286,11 +284,12 @@ UNEQUAL_5_1 = [
 
 @pytest.mark.parametrize("missing, rows", UNEQUAL_5_1)
 def test_failed_certificate_breaks_sharpness(missing, rows, monkeypatch, capsys):
-    _check_missing(5, 3, 7, missing)
     real = verify.extremal_missing
-    monkeypatch.setattr(
-        verify, "extremal_missing", lambda p: (7, missing) if (p.r, p.b) == (5, 1) else real(p)
-    )
+
+    def fake(p):
+        return (7, missing, _missing_quotient(p, 7, missing)) if (p.r, p.b) == (5, 1) else real(p)
+
+    monkeypatch.setattr(verify, "extremal_missing", fake)
     by_pair = {(row.r, row.b): row for row in bound_sweep(5)}
     assert by_pair[5, 1].sharpness_ok is False
     assert all(row.sharpness_ok is not False for pair, row in by_pair.items() if pair != (5, 1))
@@ -309,21 +308,31 @@ def test_one_block_certificate():
     assert row.eta == 0
     assert row.lambda1_H == 4.0 and row.sharpness_ok is True
     p = threshold_params(4, 3)
-    assert _missing_quotient(p, *extremal_missing(p)) == (True, [[4]], 4.0, True)
-    # the same block with a wrong degree does not certify
-    assert _missing_quotient(threshold_params(3, 1), 5, ()) == (True, [[4]], 4.0, False)
+    assert extremal_missing(p)[2] == (True, [[4]], 4.0, True)
+    # K_5 is not the shape of (3, 1), so the shape check rejects it
+    with pytest.raises(AssertionError, match="edges, expected"):
+        _missing_quotient(threshold_params(3, 1), 5, ())
+    # a shape-valid single block whose entry is not r does not certify: the
+    # 7-cycle leaves K_7 4-regular, the shape of r = 5 with eta = 7
+    cycle = tuple((i, i + 1) for i in range(6)) + ((0, 6),)
+    p = replace(threshold_params(5, 1), eta=7)
+    assert _missing_quotient(p, 7, cycle) == (True, [[4]], 4.0, False)
 
 
 def test_certificate_rejects_another_pairs_quotient():
-    # an equitable quotient certifies only the eta it was built for: the
-    # extremal set of (11, 1), eta = 9, checked against (11, 3), eta = 3,
-    # has the right trace and the wrong discriminant
-    built_for = threshold_params(11, 1)
-    equitable, _, top, certified = _missing_quotient(
-        threshold_params(11, 3), *extremal_missing(built_for)
-    )
-    assert equitable and not certified
-    assert top == built_for.rho
+    # the extremal set of (11, 1), eta = 9, does not have the shape of
+    # (11, 3), eta = 3, so the shape check rejects it before any quotient
+    order, missing, _ = extremal_missing(threshold_params(11, 1))
+    with pytest.raises(AssertionError, match="edges, expected"):
+        _missing_quotient(threshold_params(11, 3), order, missing)
+    # a shape-valid equitable set whose quotient has the wrong trace: K_9
+    # minus a 2-star from each of 0, 1, 2 into 3..8 has eta = 3 vertices of
+    # degree 6 and six of degree 7; every (7, b) has eta 5 or 1, never 3
+    p = replace(threshold_params(7, 1), eta=3)
+    missing = ((0, 3), (0, 4), (1, 5), (1, 6), (2, 7), (2, 8))
+    equitable, rows, top, certified = _missing_quotient(p, 9, missing)
+    assert equitable and rows == [[2, 4], [2, 5]] and not certified
+    assert top == (7 + math.sqrt(41)) / 2 and abs(top - p.rho) > 1e-3
 
 
 def test_sharpness_check_degenerate():
@@ -473,6 +482,36 @@ def test_campaign_parallel_matches_serial():
     s2 = randomized_theorem_campaign(16, master_seed=31, jobs=2)
     strip = lambda reports: [replace(r, elapsed=0.0) for r in reports]
     assert strip(s1.reports) == strip(s2.reports)
+
+
+def test_campaign_pool_gets_one_worker_per_chunk(monkeypatch):
+    # a stand-in pool that records its size and runs the trials in this
+    # process, so the test starts no process whatever --jobs says
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    strip = lambda reports: [replace(r, elapsed=0.0) for r in reports]
+    for trials, jobs, workers in ((2, 64, 1), (8, 3, 1), (9, 3, 2), (17, 2, 2), (17, 64, 3)):
+        pooled = randomized_theorem_campaign(trials, master_seed=3, jobs=jobs)
+        assert sizes.pop() == workers, (trials, jobs)
+        serial = randomized_theorem_campaign(trials, master_seed=3, jobs=1)
+        assert strip(pooled.reports) == strip(serial.reports)
+    assert not sizes
 
 
 def test_campaign_empty():
