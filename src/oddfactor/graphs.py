@@ -195,8 +195,16 @@ def is_connected(g: Graph) -> bool:
 # text formats
 
 
+def _plain(text: str) -> bool:
+    # int() also reads '_', '+' and non-ASCII digits, which the format does not allow
+    return text.isascii() and "_" not in text and "+" not in text
+
+
 def parse_edge_list(text: str) -> Graph:
-    """Parse the "n m" header plus m lines of "u v". Rejects loops and duplicates."""
+    """Parse the "n m" header plus m lines of "u v", each number an ASCII
+    decimal with an optional leading '-'. Rejects loops and duplicates."""
+    # one look at the whole text spares a look at each line
+    plain = _plain(text)
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -206,6 +214,8 @@ def parse_edge_list(text: str) -> Graph:
     if len(head) != 2:
         raise MalformedHeaderError(f"header must be 'n m', got {lines[0]!r}")
     try:
+        if not (plain or _plain(lines[0])):
+            raise ValueError
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise MalformedHeaderError(f"header must be two integers, got {lines[0]!r}") from None
@@ -221,6 +231,8 @@ def parse_edge_list(text: str) -> Graph:
         if len(toks) != 2:
             raise MalformedEdgeError(f"edge line must be 'u v', got {line!r}")
         try:
+            if not (plain or _plain(line)):
+                raise ValueError
             u, v = int(toks[0]), int(toks[1])
         except ValueError:
             raise MalformedEdgeError(f"edge line must be two integers, got {line!r}") from None

@@ -18,7 +18,6 @@ from .graphs import Graph
 __all__ = [
     "Spectrum",
     "adjacency_matrix",
-    "complete_minus_matrix",
     "eigenvalues_sym",
 ]
 
@@ -35,19 +34,6 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     a = np.zeros((g.n, g.n), dtype=np.float64)
     # each edge sets (u, v) and (v, u) in one store
     a[ends.ravel(), ends[:, ::-1].ravel()] = 1.0
-    return a
-
-
-def complete_minus_matrix(n: int, missing) -> np.ndarray:
-    """Adjacency matrix of K_n without the pairs (u, v) in `missing`: the
-    same matrix adjacency_matrix gives for graphs.complete_minus(n,
-    set(missing)), with no Graph built. The pairs are not checked, so they
-    must already satisfy 0 <= u < v < n, as thresholds.extremal_missing
-    guarantees; a negative vertex would index from the end."""
-    ends = np.array(missing, dtype=np.intp).reshape(-1, 2)
-    a = 1.0 - np.eye(n)
-    # each pair clears (u, v) and (v, u) in one store
-    a[ends.ravel(), ends[:, ::-1].ravel()] = 0.0
     return a
 
 

@@ -98,18 +98,6 @@ def lwy_threshold(r: int, b: int) -> float:
     return r - eta / (r + 1) + corr
 
 
-def _largest_cubic_root_bisect(lo: float, hi: float, width: float = 1e-12) -> float:
-    # largest root of x^3 - x^2 - 6x + 2 lies in [2, 3] where f is increasing
-    f = lambda x: x**3 - x**2 - 6 * x + 2
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if f(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2
-
-
 def prior_1factor_thresholds(r: int) -> tuple:
     """(Brouwer-Haemers, Cioaba-Gregory-Haemers) 1-factor thresholds for degree r."""
     if r < 3:
@@ -119,8 +107,9 @@ def prior_1factor_thresholds(r: int) -> tuple:
         cgh = (r - 2 + math.sqrt(r**2 + 12)) / 2
     else:
         bh = r - 1 + 3 / (r + 2)
+        # r = 3: the largest root of x^3 - x^2 - 6x + 2, in trigonometric form
         cgh = (
-            _largest_cubic_root_bisect(2.0, 3.0)
+            1 / 3 + 2 * math.sqrt(19) / 3 * math.cos(math.acos(19**-1.5) / 3)
             if r == 3
             else (r - 3 + math.sqrt((r + 1) ** 2 + 16)) / 2
         )

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 
 from .factor import find_odd_factor
-from .graphs import Graph, is_connected, serialize_edge_list
+from .graphs import Graph, complete_minus, is_connected, serialize_edge_list
 from .thresholds import (
     DegenerateConstructionError,
     extremal_missing,
@@ -147,22 +147,21 @@ def _suitable_pair_exists(edges: set, leftover: dict, n: int) -> bool:
     return False
 
 
-def _shuffle(x: list, bits: list, getrandbits) -> None:
+def _shuffle(x: list, getrandbits) -> None:
     """random.Random.shuffle(x) on the same getrandbits stream.
 
     Fisher-Yates: for i = len(x) - 1 down to 1, j is drawn from
-    (i + 1).bit_length() random bits and redrawn while j > i. bits holds
-    (i + 1).bit_length() for i = L - 1 down to 0, for some L >= len(x), so
-    the shuffle of a shorter list reads its tail.
+    (i + 1).bit_length() random bits and redrawn while j > i.
     """
-    for i, k in zip(range(len(x) - 1, 0, -1), bits[len(bits) - len(x) :]):
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
         j = getrandbits(k)
         while j > i:
             j = getrandbits(k)
         x[i], x[j] = x[j], x[i]
 
 
-def _pairing_attempt(n: int, base: list, bits: list, getrandbits):
+def _pairing_attempt(n: int, base: list, getrandbits):
     """One pairing-model attempt: shuffle the stubs, keep good pairs, re-pair
     the colliding stubs until none remain or no simple pair can be formed.
     Edges come back as codes u * n + v with u < v."""
@@ -176,7 +175,7 @@ def _pairing_attempt(n: int, base: list, bits: list, getrandbits):
         # its insertion order is the next round's stub order, which the
         # shuffle turns into the next pairs
         collisions: dict = {}
-        _shuffle(stubs, bits, getrandbits)
+        _shuffle(stubs, getrandbits)
         it = iter(stubs)
         for u, v in zip(it, it):
             if u > v:
@@ -217,10 +216,8 @@ def random_regular(n: int, r: int, seed: int, max_retries: int = 10_000) -> Grap
         raise ValueError(f"no connected {r}-regular graph has n={n} vertices")
     getrandbits = random.Random(seed).getrandbits
     base = [v for v in range(n) for _ in range(r)]
-    # built per call, not cached, so that no table outlives the graph
-    bits = list(map(int.bit_length, range(len(base), 0, -1)))
     for _ in range(max_retries + 1):
-        codes = _pairing_attempt(n, base, bits, getrandbits)
+        codes = _pairing_attempt(n, base, getrandbits)
         if codes is not None:
             g = Graph._canonical(n, [divmod(c, n) for c in sorted(codes)])
             if is_connected(g):
@@ -267,8 +264,8 @@ def theorem_check(g: Graph, b: int, seed: int | None = None) -> TrialReport:
 
 
 def sharpness_check(r: int, b: int) -> SharpnessReport:
-    """Confirm that the extremal component attains rho(r, b), from its
-    missing-pair set alone.
+    """Confirm that the extremal component attains rho(r, b), eigensolving
+    the same Graph that build_extremal gives.
 
     Checks the eigenvalue, solved independently of the quotient, the
     equitability of the degree-class partition, the agreement of the
@@ -277,11 +274,12 @@ def sharpness_check(r: int, b: int) -> SharpnessReport:
     profile. Raises DegenerateConstructionError when no construction exists
     (odd r with eta < 3).
     """
-    from .spectral import complete_minus_matrix, eigenvalues_sym
+    from .spectral import adjacency_matrix, eigenvalues_sym
 
     p = threshold_params(r, b)
     order, missing, (equitable, rows, q_top, certified) = extremal_missing(p)
-    lam1 = eigenvalues_sym(complete_minus_matrix(order, missing)).values[0]
+    g = complete_minus(order, set(missing))
+    lam1 = eigenvalues_sym(adjacency_matrix(g)).values[0]
 
     issues = []
     if abs(lam1 - p.rho) >= GUARD:
@@ -299,8 +297,8 @@ def sharpness_check(r: int, b: int) -> SharpnessReport:
         eta=p.eta,
         rho=p.rho,
         lambda1=lam1,
-        n_vertices=order,
-        edge_count=order * (order - 1) // 2 - len(missing),
+        n_vertices=g.n,
+        edge_count=len(g.edges),
         equitable=equitable,
         quotient_top=q_top,
         issues=tuple(issues),

@@ -10,7 +10,7 @@ import pytest
 
 from oddfactor.cli import main, parse_construction
 from oddfactor.factor import FactorCertificate
-from oddfactor.graphs import complete_graph, cycle_graph, serialize_edge_list
+from oddfactor.graphs import Graph, complete_graph, cycle_graph, serialize_edge_list
 
 
 def run(capsys, *argv):
@@ -34,6 +34,12 @@ def test_threshold_text(capsys):
     code, out, err = run(capsys, "threshold", "--r", "5", "--b", "1")
     assert code == 0
     assert "rho: 4.605551275" in out
+    code, out, err = run(capsys, "threshold", "--r", "4", "--b", "1", "--digits", "3")
+    assert code == 0
+    assert "rho: 3.646" in out.splitlines()
+    code, out, err = run(capsys, "threshold", "--r", "4", "--b", "1", "--digits", "x")
+    assert code == 2 and out == ""
+    assert "invalid int value: 'x'" in err
 
 
 def test_threshold_bad_b(capsys):
@@ -123,6 +129,14 @@ def test_spectrum_malformed_input(capsys, tmp_path):
     code, out, err = run(capsys, "spectrum", str(path))
     assert code == 2
     assert "error:" in err
+    # int() alone would read this header as "11 1"
+    path.write_text("1_1 1\n1_0 \u0663\n", encoding="utf-8")
+    code, out, err = run(capsys, "spectrum", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: header must be two integers, got '1_1 1'\n"
+    code, out, err = run(capsys, "spectrum", "E0")
+    assert code == 2 and out == ""
+    assert "undefined" in err
 
 
 def test_check_holds_and_violation(capsys, tmp_path):
@@ -155,6 +169,18 @@ def test_find_factor_exit_codes(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "exceeds the search guard" in err
+
+    # a hub joined to one vertex of each of three C9: n = 28 > DEFAULT_MAX_N,
+    # so a missing factor is reported without a witness
+    edges = [(0, 1 + 9 * k) for k in range(3)]
+    edges += [(1 + 9 * k + i, 1 + 9 * k + (i + 1) % 9) for k in range(3) for i in range(9)]
+    path = tmp_path / "hub3c9.edges"
+    path.write_text(serialize_edge_list(Graph(28, edges)))
+    code, out, err = run(capsys, "find-factor", str(path), "--b", "1")
+    assert code == 3
+    assert out == '{"kind": "none"}\n'
+    code, out, err = run(capsys, "find-factor", str(path), "--b", "3")
+    assert code == 0 and json.loads(out)["kind"] == "factor"
 
 
 def test_decider_contradiction_is_reported(capsys, monkeypatch):

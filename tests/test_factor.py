@@ -112,6 +112,10 @@ def test_verify_certificate_reasons():
     for edges in (None, 5):
         bad = verify_certificate(g, 1, FactorCertificate(edges, ()))
         assert not bad and bad.reason == f"edges {edges!r} is not iterable", edges
+    bad = verify_certificate(g, 1, FactorCertificate(((0, 1), (1, 0), (2, 3), (4, 5)), ()))
+    assert not bad and bad.reason == "duplicate edge (0, 1)"
+    bad = verify_certificate(complete_graph(4), 1, FactorCertificate(((0, 1), (0, 2), (0, 3)), ()))
+    assert not bad and bad.reason == "vertex 0 has degree 3 > 1"
     # a list pair is read like a tuple
     ok = verify_certificate(g, 1, FactorCertificate(([0, 1], [2, 3], [4, 5]), ()))
     assert ok

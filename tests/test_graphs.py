@@ -304,6 +304,26 @@ def test_parse_error_kinds():
         parse_edge_list("3 2\n0 1\n1 0")
 
 
+def test_parse_reads_ascii_decimals_only():
+    # int() alone reads '1_1' as 11 and the Arabic-Indic digit '\u0663' as 3
+    with pytest.raises(MalformedHeaderError) as exc:
+        parse_edge_list("1_1 1\n1_0 \u0663\n")
+    assert str(exc.value) == "header must be two integers, got '1_1 1'"
+    for line in ("1_0 \u0663", "0 \u0662", "0 +2", "0 1_0"):
+        with pytest.raises(MalformedEdgeError) as exc:
+            parse_edge_list(f"11 1\n{line}\n")
+        assert str(exc.value) == f"edge line must be two integers, got {line!r}", line
+    with pytest.raises(MalformedHeaderError):
+        parse_edge_list("+2 1\n0 1\n")
+    # negative numbers keep their own errors
+    with pytest.raises(VertexRangeError) as exc:
+        parse_edge_list("3 1\n-1 2\n")
+    assert str(exc.value) == "edge (-1,2) out of range for n=3"
+    # trailing blank lines are dropped, non-ASCII whitespace among them
+    assert parse_edge_list("2 1\n0 1\n\n  \n") == complete_graph(2)
+    assert parse_edge_list("2 1\n0 1\n\u00a0\n") == complete_graph(2)
+
+
 def test_to_dot():
     text = to_dot(complete_graph(2))
     assert text == "graph g {\n  0;\n  1;\n  0 -- 1;\n}\n"

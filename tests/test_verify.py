@@ -116,12 +116,10 @@ def test_random_regular_stream_is_pinned():
 
 
 def test_inlined_shuffle_matches_random_shuffle():
-    # one table of bit lengths serves every shorter list through its tail
-    bits = [(i + 1).bit_length() for i in range(299, -1, -1)]
     for length in range(301):
         mine, ref = random.Random(length), random.Random(length)
         x, y = list(range(length)), list(range(length))
-        _shuffle(x, bits, mine.getrandbits)
+        _shuffle(x, mine.getrandbits)
         ref.shuffle(y)
         assert x == y, length
         assert mine.getstate() == ref.getstate(), length
@@ -300,6 +298,10 @@ def test_failed_certificate_breaks_sharpness(missing, rows, monkeypatch, capsys)
     rep = sharpness_check(5, 1)
     assert not rep.passed and not rep.equitable
     assert f"integer quotient {rows} does not certify rho" in rep.issues
+    assert main(["verify", "sharpness", "--r", "5", "--b", "1"]) == 4
+    out, err = capsys.readouterr()
+    assert "result: FAIL" in out.splitlines()
+    assert err.splitlines() == [f"issue: {issue}" for issue in rep.issues]
 
 
 def test_one_block_certificate():
