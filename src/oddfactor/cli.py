@@ -26,12 +26,12 @@ from .factor import (
     FactorCertificate,
     check_amahashi,
     find_odd_factor,
-    subset_guard,
     verify_certificate,
 )
 from .graphs import (
     Graph,
     GraphError,
+    _plain,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -53,8 +53,8 @@ EXIT_USAGE = 2
 EXIT_NEGATIVE = 3
 EXIT_THEOREM = 4
 
-_CONSTRUCT_RE = re.compile(r"^([KCEM])(\d+)$")
-_H_RE = re.compile(r"^H:r=(\d+),b=(\d+)$")
+_CONSTRUCT_RE = re.compile(r"^([KCEM])(\d+)$", re.ASCII)
+_H_RE = re.compile(r"^H:r=(\d+),b=(\d+)$", re.ASCII)
 _BUILDERS = {"K": complete_graph, "C": cycle_graph, "E": empty_graph, "M": matching_complement}
 
 
@@ -102,12 +102,20 @@ def _json_line(payload: dict, digits: int) -> str:
     return json.dumps(_round_floats(payload, digits)) + "\n"
 
 
-def _digits(text: str) -> int:
-    """argparse type of every --digits flag: a non-negative int."""
+def _int(text: str) -> int:
+    """argparse type of every integer flag: an ASCII decimal with an optional
+    leading '-', the rule parse_edge_list applies to its numbers."""
     try:
-        value = int(text)
+        if not _plain(text):
+            raise ValueError
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _digits(text: str) -> int:
+    """argparse type of every --digits flag: a non-negative int."""
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
@@ -126,8 +134,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="emit a standard or extremal graph")
     p.add_argument("spec", nargs="?", help="construction spec (K5, C7, E4, M6, H:r=5,b=1)")
-    p.add_argument("--r", type=int, help="degree for the extremal graph")
-    p.add_argument("--b", type=int, help="odd bound for the extremal graph")
+    p.add_argument("--r", type=_int, help="degree for the extremal graph")
+    p.add_argument("--b", type=_int, help="odd bound for the extremal graph")
     p.add_argument("--format", choices=["edges", "dot"], default="edges")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_construct)
@@ -140,57 +148,57 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("threshold", help="threshold parameters and bound values")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--r", type=_int, required=True)
+    p.add_argument("--b", type=_int, required=True)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--digits", type=_digits, default=9)
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser(
         "check",
-        help="test the odd-component criterion: 'holds' from a verified factor, "
-        "a violation from the enumeration of all vertex subsets",
+        help="test the odd-component criterion: 'holds' from a verified factor, else a "
+        "violation from the subset search up to --max-n vertices, or 'none' above it",
     )
     p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
+    p.add_argument("--b", type=_int, required=True)
+    p.add_argument("--max-n", type=_int, default=DEFAULT_MAX_N)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("find-factor", help="exact polynomial decider for an odd [1,b]-factor")
     p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
+    p.add_argument("--b", type=_int, required=True)
+    p.add_argument("--max-edges", type=_int, default=DEFAULT_MAX_EDGES)
     p.set_defaults(func=_cmd_find_factor)
 
     p = sub.add_parser("verify", help="run the verification harness")
     vsub = p.add_subparsers(dest="verify_command", required=True)
 
     v = vsub.add_parser("sharpness", help="extremal graph attains the threshold")
-    v.add_argument("--r", type=int, required=True)
-    v.add_argument("--b", type=int, required=True)
+    v.add_argument("--r", type=_int, required=True)
+    v.add_argument("--b", type=_int, required=True)
     v.add_argument("--digits", type=_digits, default=9)
     v.set_defaults(func=_cmd_verify_sharpness)
 
     v = vsub.add_parser("case2", help="quotient polynomial nonpositive at the threshold")
-    v.add_argument("--r", type=int, required=True)
-    v.add_argument("--b", type=int, required=True)
+    v.add_argument("--r", type=_int, required=True)
+    v.add_argument("--b", type=_int, required=True)
     v.add_argument("--digits", type=_digits, default=9)
     v.set_defaults(func=_cmd_verify_case2)
 
     v = vsub.add_parser("sweep", help="bound comparison CSV over all (r, b)")
-    v.add_argument("--r-max", type=int, default=60)
+    v.add_argument("--r-max", type=_int, default=60)
     v.add_argument("-o", "--output", default=None)
     v.set_defaults(func=_cmd_verify_sweep)
 
     v = vsub.add_parser("campaign", help="randomized trials of the factor implication")
-    v.add_argument("--trials", type=int, default=500)
-    v.add_argument("--master-seed", type=int, default=0)
-    v.add_argument("--n-min", type=int, default=8)
-    v.add_argument("--n-max", type=int, default=20)
-    v.add_argument("--r-min", type=int, default=3)
-    v.add_argument("--r-max", type=int, default=7)
+    v.add_argument("--trials", type=_int, default=500)
+    v.add_argument("--master-seed", type=_int, default=0)
+    v.add_argument("--n-min", type=_int, default=8)
+    v.add_argument("--n-max", type=_int, default=20)
+    v.add_argument("--r-min", type=_int, default=3)
+    v.add_argument("--r-max", type=_int, default=7)
     v.add_argument("--b-policy", choices=["random", "unit", "max"], default="random")
-    v.add_argument("--jobs", type=int, default=1)
+    v.add_argument("--jobs", type=_int, default=1)
     v.set_defaults(func=_cmd_verify_campaign)
 
     return parser
@@ -247,10 +255,8 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    g = _read_graph(args.input)
-    subset_guard(g, args.b, args.max_n)
     # a verified factor means the criterion holds (Amahashi's theorem)
-    return _decide(g, args.b, args.max_n, lambda cert: {"kind": "holds"})
+    return _decide(_read_graph(args.input), args.b, args.max_n, lambda cert: {"kind": "holds"})
 
 
 def _cmd_find_factor(args) -> int:

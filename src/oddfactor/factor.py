@@ -33,7 +33,6 @@ __all__ = [
     "check_amahashi",
     "find_odd_factor",
     "verify_certificate",
-    "subset_guard",
 ]
 
 DEFAULT_MAX_N = 22
@@ -104,14 +103,6 @@ def _odd_components_masked(adj_masks, n: int, deleted: int) -> list:
     return odd
 
 
-def subset_guard(g: Graph, b: int, max_n: int = DEFAULT_MAX_N) -> None:
-    """Raise ValueError unless b is a positive odd integer and g has at most
-    max_n vertices: the checks check_amahashi makes before enumerating."""
-    _check_b(b)
-    if g.n > max_n:
-        raise ValueError(f"graph order {g.n} exceeds the exhaustive-search guard {max_n}")
-
-
 def check_amahashi(g: Graph, b: int, max_n: int = DEFAULT_MAX_N):
     """Test o(G-S) <= b|S| over every subset S of V(G).
 
@@ -120,8 +111,10 @@ def check_amahashi(g: Graph, b: int, max_n: int = DEFAULT_MAX_N):
     first violating S. Subsets are enumerated by increasing cardinality so the
     search short-circuits on the most informative witness.
     """
-    subset_guard(g, b, max_n)
+    _check_b(b)
     n = g.n
+    if n > max_n:
+        raise ValueError(f"graph order {n} exceeds the exhaustive-search guard {max_n}")
     adj_masks = [sum(1 << w for w in ns) for ns in g.adj]
     for size in range(n + 1):
         bound = b * size

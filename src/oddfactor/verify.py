@@ -18,7 +18,6 @@ quotient-polynomial check start without numpy.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 
 from .factor import find_odd_factor
@@ -58,9 +57,8 @@ SWEEP_CSV_HEADER = "r,b,ceil_rb,epsilon,eta,rho,lwy,cgh,bh,lambda1_H"
 class TheoremViolation(RuntimeError):
     """An applicable trial failed to produce a factor: a bug or a discovery."""
 
-    def __init__(self, message: str, report=None, graph_text: str | None = None):
+    def __init__(self, message: str, graph_text: str | None = None):
         super().__init__(message)
-        self.report = report
         self.graph_text = graph_text
 
 
@@ -74,7 +72,6 @@ class TrialReport:
     rho: float
     implication_applicable: bool
     factor_found: bool | None  # None when the implication did not apply
-    elapsed: float
 
 
 @dataclass(frozen=True)
@@ -237,7 +234,6 @@ def theorem_check(g: Graph, b: int, seed: int | None = None) -> TrialReport:
     """
     from .spectral import adjacency_matrix, eigenvalues_sym
 
-    t0 = time.perf_counter()
     if g.n % 2 != 0:
         raise ValueError(f"graph order must be even, got {g.n}")
     r = g.regular_degree()
@@ -259,7 +255,6 @@ def theorem_check(g: Graph, b: int, seed: int | None = None) -> TrialReport:
         rho=p.rho,
         implication_applicable=applicable,
         factor_found=found,
-        elapsed=time.perf_counter() - t0,
     )
 
 
@@ -504,7 +499,6 @@ def randomized_theorem_campaign(
                 raise TheoremViolation(
                     f"applicable trial without factor: n={rep.n}, r={rep.r}, b={rep.b}, "
                     f"seed={rep.seed}, lambda3={rep.lambda3!r}, rho={rep.rho!r}",
-                    report=rep,
                     graph_text=serialize_edge_list(g),
                 )
         else:

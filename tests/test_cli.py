@@ -170,17 +170,80 @@ def test_find_factor_exit_codes(capsys, tmp_path):
     assert out == ""
     assert "exceeds the search guard" in err
 
-    # a hub joined to one vertex of each of three C9: n = 28 > DEFAULT_MAX_N,
-    # so a missing factor is reported without a witness
-    edges = [(0, 1 + 9 * k) for k in range(3)]
-    edges += [(1 + 9 * k + i, 1 + 9 * k + (i + 1) % 9) for k in range(3) for i in range(9)]
-    path = tmp_path / "hub3c9.edges"
-    path.write_text(serialize_edge_list(Graph(28, edges)))
+    # n = 28 > DEFAULT_MAX_N, so a missing factor is reported without a witness
+    path = hub_three_c9(tmp_path)
     code, out, err = run(capsys, "find-factor", str(path), "--b", "1")
     assert code == 3
     assert out == '{"kind": "none"}\n'
     code, out, err = run(capsys, "find-factor", str(path), "--b", "3")
     assert code == 0 and json.loads(out)["kind"] == "factor"
+
+
+def hub_three_c9(tmp_path):
+    # a hub joined to one vertex of each of three C9: n = 28 > DEFAULT_MAX_N
+    edges = [(0, 1 + 9 * k) for k in range(3)]
+    edges += [(1 + 9 * k + i, 1 + 9 * k + (i + 1) % 9) for k in range(3) for i in range(9)]
+    path = tmp_path / "hub3c9.edges"
+    path.write_text(serialize_edge_list(Graph(28, edges)))
+    return path
+
+
+def test_check_answers_above_max_n(capsys, tmp_path):
+    # --max-n bounds only the witness search; the polynomial decider answers
+    # at every order, and a missing factor above it prints "none"
+    code, out, err = run(capsys, "check", "K24", "--b", "1")
+    assert code == 0 and json.loads(out) == {"kind": "holds"}
+    code, out, err = run(capsys, "check", "C7", "--b", "1", "--max-n", "6")
+    assert code == 3 and out == '{"kind": "none"}\n'
+    path = hub_three_c9(tmp_path)
+    code, out, err = run(capsys, "check", str(path), "--b", "1")
+    assert code == 3 and out == '{"kind": "none"}\n'
+    code, out, err = run(capsys, "check", str(path), "--b", "3")
+    assert code == 0 and json.loads(out) == {"kind": "holds"}
+    # an even b is still refused at every order
+    code, out, err = run(capsys, "check", "K24", "--b", "2")
+    assert code == 2 and out == ""
+    assert "b must be a positive odd integer, got 2" in err
+
+
+def test_check_never_enumerates_above_max_n(capsys, monkeypatch, tmp_path):
+    def search(*args, **kwargs):
+        raise AssertionError("subset search ran above --max-n")
+
+    monkeypatch.setattr("oddfactor.cli.check_amahashi", search)
+    # K_{11,13} on 24 vertices has no factor, so only the search could name a witness
+    k11_13 = Graph(24, [(u, v) for u in range(11) for v in range(11, 24)])
+    path = tmp_path / "k11_13.edges"
+    path.write_text(serialize_edge_list(k11_13))
+    code, out, err = run(capsys, "check", str(path), "--b", "1")
+    assert code == 3 and out == '{"kind": "none"}\n'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("threshold", "--r", "\u0664", "--b", "1"),
+        ("threshold", "--r", "+4", "--b", "1"),
+        ("threshold", "--r", "4", "--b", "1", "--digits", "1_0"),
+        ("construct", "K\u0665"),
+        ("construct", "H:r=\u0665,b=\u0661"),
+    ],
+)
+def test_integers_are_ascii_decimals(capsys, argv):
+    # int() also reads '_', '+' and non-ASCII digits; the CLI takes the
+    # numbers parse_edge_list takes
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+
+
+def test_integer_flags_keep_argparse_words(capsys):
+    code, out, err = run(capsys, "threshold", "--r", "x", "--b", "1")
+    assert code == 2 and out == ""
+    assert "argument --r: invalid int value: 'x'" in err
+    # a negative value still parses and reaches the library's own check
+    code, out, err = run(capsys, "threshold", "--r", "-4", "--b", "1")
+    assert code == 2 and out == ""
+    assert "degree r must be at least 3" in err
 
 
 def test_decider_contradiction_is_reported(capsys, monkeypatch):

@@ -473,17 +473,15 @@ def test_campaign_counts_and_invariant():
 def test_campaign_reproducible():
     s1 = randomized_theorem_campaign(25, master_seed=5)
     s2 = randomized_theorem_campaign(25, master_seed=5)
-    strip = lambda reports: [replace(r, elapsed=0.0) for r in reports]
-    assert strip(s1.reports) == strip(s2.reports)
+    assert s1.reports == s2.reports
     s3 = randomized_theorem_campaign(25, master_seed=6)
-    assert strip(s1.reports) != strip(s3.reports)
+    assert s1.reports != s3.reports
 
 
 def test_campaign_parallel_matches_serial():
     s1 = randomized_theorem_campaign(16, master_seed=31, jobs=1)
     s2 = randomized_theorem_campaign(16, master_seed=31, jobs=2)
-    strip = lambda reports: [replace(r, elapsed=0.0) for r in reports]
-    assert strip(s1.reports) == strip(s2.reports)
+    assert s1.reports == s2.reports
 
 
 def test_campaign_pool_gets_one_worker_per_chunk(monkeypatch):
@@ -507,12 +505,11 @@ def test_campaign_pool_gets_one_worker_per_chunk(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    strip = lambda reports: [replace(r, elapsed=0.0) for r in reports]
     for trials, jobs, workers in ((2, 64, 1), (8, 3, 1), (9, 3, 2), (17, 2, 2), (17, 64, 3)):
         pooled = randomized_theorem_campaign(trials, master_seed=3, jobs=jobs)
         assert sizes.pop() == workers, (trials, jobs)
         serial = randomized_theorem_campaign(trials, master_seed=3, jobs=1)
-        assert strip(pooled.reports) == strip(serial.reports)
+        assert pooled.reports == serial.reports
     assert not sizes
 
 
