@@ -133,9 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="emit a standard or extremal graph")
-    p.add_argument("spec", nargs="?", help="construction spec (K5, C7, E4, M6, H:r=5,b=1)")
-    p.add_argument("--r", type=_int, help="degree for the extremal graph")
-    p.add_argument("--b", type=_int, help="odd bound for the extremal graph")
+    p.add_argument("spec", help="construction spec (K5, C7, E4, M6, H:r=5,b=1)")
     p.add_argument("--format", choices=["edges", "dot"], default="edges")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_construct)
@@ -205,16 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_construct(args) -> int:
-    if args.spec is not None and (args.r is not None or args.b is not None):
-        print("construct takes either a spec or --r/--b, not both", file=sys.stderr)
-        return EXIT_USAGE
-    if args.spec is not None:
-        g = parse_construction(args.spec)
-    elif args.r is not None and args.b is not None:
-        g = build_extremal(threshold_params(args.r, args.b))
-    else:
-        print("construct needs a spec or both --r and --b", file=sys.stderr)
-        return EXIT_USAGE
+    g = parse_construction(args.spec)
     text = serialize_edge_list(g) if args.format == "edges" else to_dot(g)
     _emit(text, args.output)
     return EXIT_OK

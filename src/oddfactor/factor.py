@@ -109,14 +109,16 @@ def check_amahashi(g: Graph, b: int, max_n: int = DEFAULT_MAX_N):
     Returns None when the criterion holds (an odd [1,b]-factor exists for odd
     b), otherwise an AmahashiViolation for the smallest, lexicographically
     first violating S. Subsets are enumerated by increasing cardinality so the
-    search short-circuits on the most informative witness.
+    search short-circuits on the most informative witness, and it stops below
+    size n/(b+1), since no larger S can violate.
     """
     _check_b(b)
     n = g.n
     if n > max_n:
         raise ValueError(f"graph order {n} exceeds the exhaustive-search guard {max_n}")
     adj_masks = [sum(1 << w for w in ns) for ns in g.adj]
-    for size in range(n + 1):
+    # o(G-S) <= n - |S|, which exceeds b|S| only when |S| < n/(b+1)
+    for size in range(-(-n // (b + 1))):
         bound = b * size
         for combo in itertools.combinations(range(n), size):
             deleted = 0

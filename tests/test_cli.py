@@ -49,7 +49,7 @@ def test_threshold_bad_b(capsys):
 
 
 def test_construct_extremal_header(capsys):
-    code, out, err = run(capsys, "construct", "--r", "5", "--b", "1")
+    code, out, err = run(capsys, "construct", "H:r=5,b=1")
     assert code == 0
     assert out.startswith("7 16\n")
 
@@ -78,6 +78,9 @@ def test_construct_usage_errors(capsys):
     assert code == 2
     code, out, err = run(capsys, "construct", "K5", "--r", "4", "--b", "1")
     assert code == 2
+    # H is named only by its spec
+    code, out, err = run(capsys, "construct", "--r", "5", "--b", "1")
+    assert code == 2 and out == ""
     code, out, err = run(capsys, "construct", "Q8")
     assert code == 2
 

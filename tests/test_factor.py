@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddfactor import factor
 from oddfactor.factor import (
     FactorCertificate,
     check_amahashi,
@@ -48,6 +49,22 @@ def test_check_amahashi_empty_set_witness():
 
 def test_check_amahashi_holds_on_c6():
     assert check_amahashi(cycle_graph(6), 1) is None
+
+
+def test_check_amahashi_stops_where_no_set_can_violate(monkeypatch):
+    # only |S| < n/(b+1) can violate: sizes 0-2 of C6 at b = 1 (1 + 6 + 15
+    # subsets), sizes 0-1 at b = 3 (1 + 6)
+    real = factor._odd_components_masked
+    for b, calls in ((1, 22), (3, 7)):
+        seen = []
+
+        def counted(*args):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(factor, "_odd_components_masked", counted)
+        assert check_amahashi(cycle_graph(6), b) is None
+        assert len(seen) == calls, b
 
 
 def test_check_amahashi_errors():
