@@ -224,6 +224,29 @@ def parse_edge_list(text: str) -> Graph:
     body = lines[1:]
     if len(body) != m:
         raise MalformedEdgeError(f"expected {m} edge lines, found {len(body)}")
+    # labels spelled as str(v) are looked up in bulk; any other spelling and
+    # every fault go to the line scan, which names the first fault. Only plain
+    # text qualifies: str.split() also splits on U+00A0, which the scan rejects
+    if plain:
+        # m lines name at most 2m vertices, so the table never outgrows the text
+        label = {str(v): v for v in range(min(n, 2 * m))}
+        try:
+            # a loop is dropped and a repeat merges, so each leaves fewer than m keys
+            keys = {
+                (u, v) if u < v else (v, u)
+                for a, b in map(str.split, body)
+                if (u := label[a]) != (v := label[b])
+            }
+        except (KeyError, ValueError):
+            pass
+        else:
+            if len(keys) == m:
+                return Graph._canonical(n, sorted(keys))
+    return _scan_edges(body, n, plain)
+
+
+def _scan_edges(body: list, n: int, plain: bool) -> Graph:
+    """Read the edge lines one at a time and raise on the first fault."""
     seen = set()
     edges = []
     for line in body:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddfactor.cli import parse_construction
 from oddfactor.graphs import (
@@ -34,6 +35,7 @@ from conftest import (
     graphs,
     induced_subgraph,
     join,
+    oracle_parse_edge_list,
     random_graph,
 )
 
@@ -268,6 +270,10 @@ def test_parse_and_serialize():
     assert parse_edge_list("2 1\n0 1") == complete_graph(2)
     assert parse_edge_list("3 0") == empty_graph(3)
     assert parse_edge_list("2 1\n1 0\n") == complete_graph(2)
+    # other spellings of a label, and labels at or above 2m, are read too
+    assert parse_edge_list("2 1\n001 -0\n") == complete_graph(2)
+    assert parse_edge_list("8 2\n007 0\n6\t00\n") == Graph(8, [(0, 7), (0, 6)])
+    assert parse_edge_list("100 1\n98 99\n") == Graph(100, [(98, 99)])
 
     rng = random.Random(11)
     for _ in range(30):
@@ -275,33 +281,129 @@ def test_parse_and_serialize():
         assert parse_edge_list(serialize_edge_list(g)) == g
 
 
+def _respell(text: str, rng: random.Random) -> str:
+    """The same edge list with labels zero-padded, 0 written -0, endpoints
+    swapped and tabs among the separators, each at random."""
+    lines = text.splitlines()
+    out = [lines[0]]
+    for line in lines[1:]:
+        toks = line.split()
+        if rng.random() < 0.3:
+            toks.reverse()
+        for i, tok in enumerate(toks):
+            pick = rng.random()
+            if pick < 0.2:
+                toks[i] = "0" * rng.randint(1, 3) + tok
+            elif pick < 0.3 and tok == "0":
+                toks[i] = "-0"
+        out.append(rng.choice((" ", "\t", " \t ")).join(toks))
+    return "\n".join(out) + "\n"
+
+
 @settings(derandomize=True, database=None, deadline=None)
-@given(graphs(12))
-def test_parse_serialize_round_trip_property(g):
+@given(graphs(12), st.randoms(use_true_random=False))
+def test_parse_serialize_round_trip_property(g, rng):
     assert parse_edge_list(serialize_edge_list(g)) == g
+    # canonical labels are looked up in bulk, other spellings read by the line scan
+    assert parse_edge_list(_respell(serialize_edge_list(g), rng)) == g
 
 
 def test_parse_error_kinds():
-    with pytest.raises(MalformedHeaderError):
-        parse_edge_list("")
-    with pytest.raises(MalformedHeaderError):
-        parse_edge_list("x y\n")
-    with pytest.raises(MalformedHeaderError):
-        parse_edge_list("3\n")
-    with pytest.raises(MalformedHeaderError):
-        parse_edge_list("-1 0\n")
-    with pytest.raises(MalformedEdgeError):
-        parse_edge_list("3 2\n0 1")
-    with pytest.raises(MalformedEdgeError):
-        parse_edge_list("3 1\n0 1 2")
-    with pytest.raises(MalformedEdgeError):
-        parse_edge_list("3 1\n0 x")
-    with pytest.raises(SelfLoopError):
-        parse_edge_list("2 1\n0 0")
-    with pytest.raises(VertexRangeError):
-        parse_edge_list("2 1\n0 5")
-    with pytest.raises(DuplicateEdgeError):
-        parse_edge_list("3 2\n0 1\n1 0")
+    cases = [
+        ("", MalformedHeaderError, "empty input"),
+        ("x y\n", MalformedHeaderError, "header must be two integers, got 'x y'"),
+        ("3\n", MalformedHeaderError, "header must be 'n m', got '3'"),
+        ("-1 0\n", MalformedHeaderError, "header values must be nonnegative, got '-1 0'"),
+        ("3 2\n0 1", MalformedEdgeError, "expected 2 edge lines, found 1"),
+        ("3 1\n0 1 2", MalformedEdgeError, "edge line must be 'u v', got '0 1 2'"),
+        ("3 1\n0 x", MalformedEdgeError, "edge line must be two integers, got '0 x'"),
+        ("2 1\n0 0", SelfLoopError, "self-loop at vertex 0"),
+        ("2 1\n0 5", VertexRangeError, "edge (0,5) out of range for n=2"),
+        ("3 2\n0 1\n1 0", DuplicateEdgeError, "duplicate edge (0, 1)"),
+        # the first fault is named, whatever follows it
+        ("3 3\n0 1\n2 2\n1 0\n", SelfLoopError, "self-loop at vertex 2"),
+        ("3 3\n0 1\n1 0\n0 x\n", DuplicateEdgeError, "duplicate edge (0, 1)"),
+        # a fault on the last line of an otherwise canonical body
+        ("4 3\n0 1\n1 2\n2 2\n", SelfLoopError, "self-loop at vertex 2"),
+        ("4 3\n0 1\n1 2\n2 1\n", DuplicateEdgeError, "duplicate edge (1, 2)"),
+        ("4 3\n0 1\n1 2\n2 4\n", VertexRangeError, "edge (2,4) out of range for n=4"),
+        ("4 3\n0 1\n1 2\n2 3 0\n", MalformedEdgeError, "edge line must be 'u v', got '2 3 0'"),
+        ("4 3\n0 1\n1 2\n2 y\n", MalformedEdgeError, "edge line must be two integers, got '2 y'"),
+        # str.split() splits on U+00A0, but the format reads ASCII only
+        ("2 1\n0\u00a01\n", MalformedEdgeError, "edge line must be two integers, got '0\\xa01'"),
+    ]
+    for text, kind, message in cases:
+        with pytest.raises(GraphError) as exc:
+            parse_edge_list(text)
+        assert (type(exc.value), str(exc.value)) == (kind, message), text
+
+
+_FUZZ_TOKENS = ("x", "", "+1", "1_0", "\u0663", "-1", "-0", "00", "007", "1.0", "0x1")
+_FUZZ_SEPARATORS = ("  ", "\t", "\u00a0", "\u2003", "\x1f")
+
+
+def _fuzz_label(rng: random.Random, n: int, m: int) -> str:
+    pick = rng.random()
+    if pick < 0.8:
+        return str(rng.randrange(max(n, 1)))
+    if pick < 0.85:
+        # at or above 2m, and maybe out of range
+        return str(rng.randint(2 * m, 2 * m + 3))
+    if pick < 0.9:
+        return "0" * rng.randint(1, 2) + str(rng.randrange(max(n, 1)))
+    return rng.choice(_FUZZ_TOKENS)
+
+
+def _fuzz_text(rng: random.Random) -> str:
+    n = rng.choice((rng.randrange(6), rng.randrange(12), 1000))
+    if n >= 3 and rng.random() < 0.5:
+        # a valid canonical body, so that faults land late in it
+        pairs = list(itertools.combinations(range(min(n, 12)), 2))
+        picked = rng.sample(pairs, rng.randrange(min(len(pairs), 8) + 1))
+        rows = [[str(u), str(v)][:: rng.choice((1, -1))] for u, v in picked]
+    else:
+        rows = [[] for _ in range(rng.randrange(7))]
+    m = len(rows)
+    for i, row in enumerate(rows):
+        if not row or rng.random() < 0.15:
+            rows[i] = row = [_fuzz_label(rng, n, m) for _ in range(rng.choice((2, 2, 2, 2, 1, 3)))]
+        if rng.random() < 0.1 and row:
+            row[-1] = row[0]
+    if rows and rng.random() < 0.1:
+        rows.append(list(rng.choice(rows)))
+    head = f"{n} {len(rows) + rng.choice((0, 0, 0, 0, 0, 0, 1, -1))}"
+    seps = [rng.choice(_FUZZ_SEPARATORS) if rng.random() < 0.1 else " " for _ in rows]
+    lines = [head] + [sep.join(row) for sep, row in zip(seps, rows)]
+    end = rng.choice(("\n", "\n", "\r\n"))
+    blank = rng.choice(("", end, end + end, end + "  " + end, end + "\u00a0" + end))
+    return end.join(lines) + blank
+
+
+def _parse_outcome(parse, text: str):
+    try:
+        g = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return g.n, g.edges, g.adj
+
+
+def test_parse_matches_line_scan_oracle():
+    rng = random.Random(17)
+    kinds = set()
+    for _ in range(4000):
+        text = _fuzz_text(rng)
+        want = _parse_outcome(oracle_parse_edge_list, text)
+        assert _parse_outcome(parse_edge_list, text) == want, text
+        kinds.add(want[0] if isinstance(want[0], type) else Graph)
+    # the fuzz reaches every outcome the parser has
+    assert kinds == {
+        Graph,
+        MalformedHeaderError,
+        MalformedEdgeError,
+        VertexRangeError,
+        SelfLoopError,
+        DuplicateEdgeError,
+    }, kinds
 
 
 def test_parse_reads_ascii_decimals_only():
