@@ -101,11 +101,22 @@ class Graph:
     def _fill(self, n: int, edges) -> None:
         self.n = n
         self.edges = tuple(edges)
+        # sorted edges with u < v reach each list in ascending order already
+        if n > 2 * len(self.edges):
+            # some vertex is isolated: build lists only for vertices with edges
+            touched: dict = {}
+            for u, v in self.edges:
+                touched.setdefault(u, []).append(v)
+                touched.setdefault(v, []).append(u)
+            adj = [()] * n
+            for v, ns in touched.items():
+                adj[v] = tuple(ns)
+            self.adj = tuple(adj)
+            return
         lists = [[] for _ in range(n)]
         for u, v in self.edges:
             lists[u].append(v)
             lists[v].append(u)
-        # sorted edges with u < v reach each list in ascending order already
         self.adj = tuple(map(tuple, lists))
 
     def degrees(self) -> tuple:

@@ -10,9 +10,11 @@ over a full (r, b) sweep.
 The sweep takes lambda_1 of each extremal component from the integer
 quotient of its degree-class partition, which thresholds reads off the
 component's missing-pair set and certifies by two integer equalities, so it
-eigensolves nothing. Only theorem_check and sharpness_check eigensolve,
-and they import spectral, and with it numpy, when they run; the sweep and the
-quotient-polynomial check start without numpy.
+eigensolves nothing. Only theorem_check, the campaign and sharpness_check
+eigensolve, and they import spectral, and with it numpy, when they run; the
+sweep and the quotient-polynomial check start without numpy. The campaign
+checks its trials in blocks, with one stacked eigensolve per vertex count in
+each block; theorem_check is the one-graph case of that block check.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ __all__ = [
 ]
 
 # float comparisons sit on the conservative side of this band: eigensolver output
-# in theorem_check and sharpness_check, and, until they are decided exactly, the
-# closed-form verdicts of case2 and the sweep's lwy tie; solver error is far below it
+# in theorem_check, the campaign and sharpness_check, and, until they are decided
+# exactly, the closed-form verdicts of case2 and the sweep's lwy tie; solver error
+# is far below it
 GUARD = 1e-9
 
 SWEEP_CSV_HEADER = "r,b,ceil_rb,epsilon,eta,rho,lwy,cgh,bh,lambda1_H"
@@ -233,31 +236,44 @@ def theorem_check(g: Graph, b: int, seed: int | None = None) -> TrialReport:
     Computes lambda_3 and rho(r, b); when the graph is connected and
     lambda_3 < rho - GUARD the factor search runs and its outcome is
     recorded. Otherwise the implication is silent and no search happens.
+    This is the one-graph case of the campaign's block check.
     """
-    from .spectral import adjacency_matrix, eigenvalues_sym
+    return _check_block([(g, b, seed)])[0]
 
-    if g.n % 2 != 0:
-        raise ValueError(f"graph order must be even, got {g.n}")
-    r = g.regular_degree()
-    if r is None:
-        raise ValueError("graph must be regular")
-    p = threshold_params(r, b)  # rejects r < 3, even b, b >= r
-    spec = eigenvalues_sym(adjacency_matrix(g))
-    lam3 = spec.values[2]
-    applicable = lam3 < p.rho - GUARD and is_connected(g)
-    found = None
-    if applicable:
-        found = find_odd_factor(g, b) is not None
-    return TrialReport(
-        r=r,
-        b=b,
-        n=g.n,
-        seed=seed,
-        lambda3=lam3,
-        rho=p.rho,
-        implication_applicable=applicable,
-        factor_found=found,
-    )
+
+def _check_block(trials: list) -> list:
+    """theorem_check of each (graph, b, seed) in trials, with every graph
+    validated first and then one stacked eigensolve per vertex count."""
+    from .spectral import spectra
+
+    params = []
+    for g, b, _ in trials:
+        if g.n % 2 != 0:
+            raise ValueError(f"graph order must be even, got {g.n}")
+        r = g.regular_degree()
+        if r is None:
+            raise ValueError("graph must be regular")
+        params.append((r, threshold_params(r, b).rho))  # rejects r < 3, even b, b >= r
+    reports = []
+    for (g, b, seed), (r, rho), spec in zip(trials, params, spectra(t[0] for t in trials)):
+        lam3 = spec.values[2]
+        applicable = lam3 < rho - GUARD and is_connected(g)
+        found = None
+        if applicable:
+            found = find_odd_factor(g, b) is not None
+        reports.append(
+            TrialReport(
+                r=r,
+                b=b,
+                n=g.n,
+                seed=seed,
+                lambda3=lam3,
+                rho=rho,
+                implication_applicable=applicable,
+                factor_found=found,
+            )
+        )
+    return reports
 
 
 def sharpness_check(r: int, b: int) -> SharpnessReport:
@@ -413,8 +429,10 @@ def sweep_to_csv(rows) -> str:
 # randomized campaign
 
 
-# trials per task sent to a campaign worker
+# trials per task sent to a campaign worker, and per block of a serial run;
+# each block eigensolves its graphs in one stacked call per vertex count
 _CAMPAIGN_CHUNKSIZE = 8
+_CAMPAIGN_BLOCK = 64
 
 
 def _trial_seed(master_seed: int, index: int) -> int:
@@ -422,7 +440,8 @@ def _trial_seed(master_seed: int, index: int) -> int:
     return master_seed * 1_000_003 + index
 
 
-def _campaign_trial(args) -> TrialReport:
+def _campaign_graph(args) -> tuple:
+    """The (graph, b, seed) a trial checks, all drawn from its seed."""
     master_seed, index, n_lo, n_hi, r_lo, r_hi, b_policy = args
     seed = _trial_seed(master_seed, index)
     rng = random.Random(seed)
@@ -434,8 +453,11 @@ def _campaign_trial(args) -> TrialReport:
     else:  # "max"
         b = r - 1 if (r - 1) % 2 == 1 else r - 2
     n = rng.choice([n for n in range(n_lo, n_hi + 1) if n % 2 == 0 and n > r])
-    g = random_regular(n, r, seed=seed)
-    return theorem_check(g, b, seed=seed)
+    return random_regular(n, r, seed=seed), b, seed
+
+
+def _campaign_block(specs: list) -> list:
+    return _check_block([_campaign_graph(s) for s in specs])
 
 
 def randomized_theorem_campaign(
@@ -446,7 +468,8 @@ def randomized_theorem_campaign(
     master_seed: int = 0,
     jobs: int = 1,
 ) -> CampaignSummary:
-    """Run theorem_check over sampled regular graphs.
+    """Run theorem_check over sampled regular graphs, in blocks that each
+    eigensolve their graphs in one stacked call per vertex count.
 
     Each trial derives its parameters and generator seed from (master_seed,
     index), so the outcome is reproducible and independent of worker count.
@@ -475,16 +498,20 @@ def randomized_theorem_campaign(
     specs = [
         (master_seed, i, n_lo, n_hi, r_lo, r_hi, b_policy) for i in range(trials)
     ]
-    if jobs > 1 and trials > 1:
+    pooled = jobs > 1 and trials > 1
+    size = _CAMPAIGN_CHUNKSIZE if pooled else _CAMPAIGN_BLOCK
+    blocks = [specs[i : i + size] for i in range(0, trials, size)]
+    if pooled:
         # imported here so that a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         # the pool forks all its workers at once, so it gets one per chunk at most
-        workers = min(jobs, -(-trials // _CAMPAIGN_CHUNKSIZE))
+        workers = min(jobs, len(blocks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_campaign_trial, specs, chunksize=_CAMPAIGN_CHUNKSIZE))
+            done = list(pool.map(_campaign_block, blocks))
     else:
-        reports = [_campaign_trial(s) for s in specs]
+        done = [_campaign_block(block) for block in blocks]
+    reports = [rep for block in done for rep in block]
 
     for rep in reports:
         if rep.implication_applicable and not rep.factor_found:

@@ -65,6 +65,14 @@ def check_invariants(g: Graph) -> bool:
     return True
 
 
+def oracle_adj(n: int, edges) -> tuple:
+    """Sorted neighbour tuple of each of the n vertices, read off the edge list
+    one vertex at a time: the reference for Graph.adj."""
+    return tuple(
+        tuple(sorted({w for e in edges if v in e for w in e if w != v})) for v in range(n)
+    )
+
+
 def complement(g: Graph) -> Graph:
     return Graph(g.n, [e for e in itertools.combinations(range(g.n), 2) if not g.has_edge(*e)])
 

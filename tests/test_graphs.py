@@ -35,6 +35,7 @@ from conftest import (
     graphs,
     induced_subgraph,
     join,
+    oracle_adj,
     oracle_parse_edge_list,
     random_graph,
 )
@@ -105,6 +106,24 @@ def test_unchecked_builders_match_checked_constructor(build):
     checked = Graph(g.n, g.edges)
     assert g == checked
     assert g.adj == checked.adj
+
+
+def test_adj_matches_oracle_with_isolated_vertices():
+    # more than 2m vertices leaves some isolated, which Graph._fill treats on
+    # its own; both sides of that line are compared, through every builder
+    rng = random.Random(29)
+    sides = set()
+    for _ in range(300):
+        n = rng.randrange(0, 40)
+        g = random_graph(rng, n, rng.choice((0.01, 0.03, 0.1, 0.5)))
+        want = oracle_adj(n, g.edges)
+        for h in (g, Graph._canonical(n, g.edges), parse_edge_list(serialize_edge_list(g))):
+            assert h.adj == want
+            assert check_invariants(h)
+        sides.add(n > 2 * len(g.edges))
+    assert sides == {True, False}
+    big = Graph(2_000, [(1999, 7), (3, 7)])
+    assert big.adj == oracle_adj(2_000, big.edges)
 
 
 def test_complete_minus_without_missing_edges_is_complete():

@@ -4,8 +4,9 @@ import random
 import numpy as np
 import pytest
 
+from oddfactor import spectral
 from oddfactor.graphs import complete_graph, cycle_graph, empty_graph
-from oddfactor.spectral import adjacency_matrix, eigenvalues_sym
+from oddfactor.spectral import adjacency_matrix, eigenvalues_sym, spectra
 from conftest import (
     block_quotient,
     induced_subgraph,
@@ -107,6 +108,51 @@ def test_eigenvalues_sym_input_validation():
         eigenvalues_sym([[0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(ValueError):
         eigenvalues_sym([[float("nan"), 0.0], [0.0, 0.0]])
+
+
+def test_spectra_equal_single_spectra_on_mixed_orders():
+    # orders interleave, so each stack gathers graphs from across the list
+    rng = random.Random(43)
+    gs = [random_graph(rng, rng.randrange(1, 15), rng.random()) for _ in range(120)]
+    gs += [petersen_graph(), complete_graph(1), empty_graph(3)]
+    assert len({g.n for g in gs}) == 14
+    got = spectra(iter(gs))
+    assert got == [eigenvalues_sym(adjacency_matrix(g)) for g in gs]
+    # a graph's values do not depend on the others in the list
+    assert spectra(gs[5:6]) == got[5:6]
+    assert spectra([]) == []
+
+
+BAD_MATRICES = [
+    (np.zeros((0, 0)), "matrix must have order >= 1"),
+    (np.zeros((2, 3)), "expected a square matrix, got shape"),
+    ([[0.0, 1.0], [2.0, 0.0]], "matrix must be exactly symmetric"),
+    ([[float("nan"), 0.0], [0.0, 0.0]], "matrix entries must be finite"),
+    ([[float("inf"), 0.0], [0.0, 0.0]], "matrix entries must be finite"),
+]
+
+
+@pytest.mark.parametrize("m, message", BAD_MATRICES)
+def test_stacked_path_rejects_what_the_single_path_rejects(m, message):
+    a = np.asarray(m, dtype=np.float64)
+    with pytest.raises(ValueError, match=message):
+        eigenvalues_sym(a)
+    # the bad matrix sits behind a good one in a stack of the same shape
+    stack = np.stack([np.zeros_like(a), a])
+    with pytest.raises(ValueError, match=message):
+        spectral._eigvalsh(stack, 3)
+
+
+def test_stack_and_single_reject_the_other_rank():
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 2, 3\)"):
+        spectral._eigvalsh(np.zeros((2, 2, 3)), 3)
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(1, 2, 2\)"):
+        eigenvalues_sym(np.zeros((1, 2, 2)))
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 2\)"):
+        spectral._eigvalsh(np.zeros((2, 2)), 3)
+    # the graph on no vertices is the one input spectra can be given that fails
+    with pytest.raises(ValueError, match="matrix must have order >= 1"):
+        spectra([complete_graph(2), empty_graph(0)])
 
 
 def test_interlacing_on_induced_subgraphs():

@@ -497,9 +497,26 @@ def test_campaign_reproducible():
 
 
 def test_campaign_parallel_matches_serial():
-    s1 = randomized_theorem_campaign(16, master_seed=31, jobs=1)
-    s2 = randomized_theorem_campaign(16, master_seed=31, jobs=2)
-    assert s1.reports == s2.reports
+    # 130 trials span three serial blocks and seventeen pool chunks
+    for trials in (16, 130):
+        s1 = randomized_theorem_campaign(trials, master_seed=31, jobs=1)
+        s2 = randomized_theorem_campaign(trials, master_seed=31, jobs=2)
+        assert s1.reports == s2.reports
+
+
+@pytest.mark.parametrize("policy", ["random", "unit", "max"])
+def test_campaign_blocks_equal_single_checks(policy):
+    # counts on both sides of a block edge; a trial's report depends only on
+    # its own seed, so a shorter campaign is a prefix of a longer one
+    full = randomized_theorem_campaign(197, b_policy=policy, master_seed=4).reports
+    for trials in (1, 63, 64, 65):
+        reports = randomized_theorem_campaign(trials, b_policy=policy, master_seed=4).reports
+        assert reports == full[:trials]
+    for rep in full:
+        g = random_regular(rep.n, rep.r, seed=rep.seed)
+        assert theorem_check(g, rep.b, seed=rep.seed) == rep
+        # exact: the stacked solve gives the single solve's bits
+        assert rep.lambda3 == eigenvalues_sym(adjacency_matrix(g)).values[2]
 
 
 def test_campaign_pool_gets_one_worker_per_chunk(monkeypatch):
