@@ -18,9 +18,9 @@ import os
 import re
 import sys
 
-# spectral loads numpy. The spectrum handler imports it, and verify imports
-# it only in the checks that eigensolve (verify sharpness, verify campaign);
-# the other commands, verify sweep and case2 among them, start without numpy
+# spectral loads numpy. The spectrum handler imports spectra from it, and verify
+# only in the checks that eigensolve (verify sharpness, verify campaign); the
+# other commands, verify sweep and case2 among them, start without numpy
 from .factor import (
     DEFAULT_MAX_N,
     FactorCertificate,
@@ -210,18 +210,18 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    from .spectral import adjacency_matrix, eigenvalues_sym
+    from .spectral import spectra
 
     g = _read_graph(args.input)
     if g.n == 0:
         print("spectrum of the empty graph on 0 vertices is undefined", file=sys.stderr)
         return EXIT_USAGE
-    spec = eigenvalues_sym(adjacency_matrix(g))
+    spec = spectra([g])[0]
     if args.format == "json":
-        _emit(_json_line({"values": list(spec.values)}, args.digits), args.output)
+        _emit(_json_line({"values": list(spec)}, args.digits), args.output)
     else:
         # rounding first prints a zero eigenvalue's rounding noise as 0, never -0
-        lines = [f"{v:.{args.digits}f}" for v in _round_floats(spec.values, args.digits)]
+        lines = [f"{v:.{args.digits}f}" for v in _round_floats(spec, args.digits)]
         _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 

@@ -1,36 +1,20 @@
-"""Dense symmetric eigensolver and adjacency matrices.
+"""Adjacency spectra from a dense symmetric eigensolver.
 
-Eigenvalues come from LAPACK's symmetric solver (numpy.linalg.eigvalsh),
-a direct method with no sweep count or tolerance to tune; its error on the
+Eigenvalues come from LAPACK's symmetric solver, called through numpy, a
+direct method with no sweep count or tolerance to tune; its error on the
 adjacency matrices used here sits far below the 1e-9 comparison slack used
-elsewhere. eigenvalues_sym solves one matrix; spectra solves a list of
-graphs with one stacked call per vertex count, which spares numpy's
-per-call overhead on many small graphs and gives each graph the same
-values, bit for bit, as eigenvalues_sym of its adjacency matrix.
+elsewhere. spectra solves a list of graphs with one stacked call per vertex
+count, which spares numpy's per-call overhead on many small graphs; a graph
+on its own is the list of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .graphs import Graph
-
-__all__ = [
-    "Spectrum",
-    "adjacency_matrix",
-    "eigenvalues_sym",
-    "spectra",
-]
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """All real eigenvalues in nonincreasing order."""
-
-    values: tuple
+__all__ = ["spectra"]
 
 
 def _stack(graphs: list, n: int) -> np.ndarray:
@@ -42,37 +26,15 @@ def _stack(graphs: list, n: int) -> np.ndarray:
     ).reshape(-1, 2)
     layer = np.repeat(np.arange(len(graphs)), [2 * len(g.edges) for g in graphs])
     a = np.zeros((len(graphs), n, n), dtype=np.float64)
-    # each edge sets (u, v) and (v, u) of its graph's layer in one store
+    # each edge sets (u, v) and (v, u) of its graph's layer in one store, so every
+    # layer is a square, finite, exactly symmetric 0/1 matrix that needs no check
     a[layer, ends.ravel(), ends[:, ::-1].ravel()] = 1.0
     return a
 
 
-def _eigvalsh(a: np.ndarray, ndim: int) -> np.ndarray:
-    """Eigenvalues of the symmetric matrices on the last two axes of an
-    ndim-dimensional float64 array, nonincreasing along the last axis."""
-    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[-1] < 1:
-        raise ValueError("matrix must have order >= 1")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    if not (a == a.swapaxes(-1, -2)).all():
-        raise ValueError("matrix must be exactly symmetric")
-    return np.linalg.eigvalsh(a)[..., ::-1]
-
-
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    return _stack([g], g.n)[0]
-
-
-def eigenvalues_sym(m) -> Spectrum:
-    """All eigenvalues of a symmetric matrix, sorted nonincreasing."""
-    a = np.asarray(m, dtype=np.float64)  # read only, so a float array is not copied
-    return Spectrum(values=tuple(_eigvalsh(a, 2).tolist()))
-
-
 def spectra(graphs) -> list:
-    """The Spectrum of each graph's adjacency matrix, in the order given.
+    """Each graph's adjacency eigenvalues as a nonincreasing tuple of floats,
+    in the order given.
 
     Graphs of one vertex count are stacked and solved in one call, so a
     graph's values do not depend on the other graphs in the list.
@@ -81,9 +43,12 @@ def spectra(graphs) -> list:
     by_order: dict = {}
     for i, g in enumerate(graphs):
         by_order.setdefault(g.n, []).append(i)
+    if 0 in by_order:
+        # numpy gives a (k, 0, 0) stack an empty spectrum instead of failing
+        raise ValueError("matrix must have order >= 1")
     out = [None] * len(graphs)
     for n, idx in by_order.items():
-        values = _eigvalsh(_stack([graphs[i] for i in idx], n), 3).tolist()
-        for i, vals in zip(idx, values):
-            out[i] = Spectrum(values=tuple(vals))
+        stack = _stack([graphs[i] for i in idx], n)
+        for i, vals in zip(idx, np.linalg.eigvalsh(stack)[..., ::-1].tolist()):
+            out[i] = tuple(vals)
     return out

@@ -11,10 +11,12 @@ The sweep takes lambda_1 of each extremal component from the integer
 quotient of its degree-class partition, which thresholds reads off the
 component's missing-pair set and certifies by two integer equalities, so it
 eigensolves nothing. Only theorem_check, the campaign and sharpness_check
-eigensolve, and they import spectral, and with it numpy, when they run; the
-sweep and the quotient-polynomial check start without numpy. The campaign
-checks its trials in blocks, with one stacked eigensolve per vertex count in
-each block; theorem_check is the one-graph case of that block check.
+eigensolve, all through spectral.spectra; they import spectral, and with it
+numpy, when they run, so the sweep and the quotient-polynomial check start
+without numpy. The campaign checks its trials in blocks of 64, with one
+stacked eigensolve per vertex count in each block, and hands whole blocks to
+a process pool when it has more than one block and more than one job;
+theorem_check is the one-graph case of that block check.
 """
 
 from __future__ import annotations
@@ -50,10 +52,10 @@ __all__ = [
     "randomized_theorem_campaign",
 ]
 
-# float comparisons sit on the conservative side of this band: eigensolver output
-# in theorem_check, the campaign and sharpness_check, and, until they are decided
-# exactly, the closed-form verdicts of case2 and the sweep's lwy tie; solver error
-# is far below it
+# float comparisons sit on the conservative side of this band: the output of
+# spectral.spectra in theorem_check, the campaign and sharpness_check, and, until
+# they are decided exactly, the closed-form verdicts of case2 and the sweep's lwy
+# tie; solver error is far below it
 GUARD = 1e-9
 
 SWEEP_CSV_HEADER = "r,b,ceil_rb,epsilon,eta,rho,lwy,cgh,bh,lambda1_H"
@@ -256,7 +258,7 @@ def _check_block(trials: list) -> list:
         params.append((r, threshold_params(r, b).rho))  # rejects r < 3, even b, b >= r
     reports = []
     for (g, b, seed), (r, rho), spec in zip(trials, params, spectra(t[0] for t in trials)):
-        lam3 = spec.values[2]
+        lam3 = spec[2]
         applicable = lam3 < rho - GUARD and is_connected(g)
         found = None
         if applicable:
@@ -287,12 +289,12 @@ def sharpness_check(r: int, b: int) -> SharpnessReport:
     profile. Raises DegenerateConstructionError when no construction exists
     (odd r with eta < 3).
     """
-    from .spectral import adjacency_matrix, eigenvalues_sym
+    from .spectral import spectra
 
     p = threshold_params(r, b)
     order, missing, (equitable, rows, q_top, certified) = extremal_missing(p)
     g = complete_minus(order, set(missing))
-    lam1 = eigenvalues_sym(adjacency_matrix(g)).values[0]
+    lam1 = spectra([g])[0][0]
 
     issues = []
     if abs(lam1 - p.rho) >= GUARD:
@@ -429,9 +431,8 @@ def sweep_to_csv(rows) -> str:
 # randomized campaign
 
 
-# trials per task sent to a campaign worker, and per block of a serial run;
-# each block eigensolves its graphs in one stacked call per vertex count
-_CAMPAIGN_CHUNKSIZE = 8
+# trials per block, run in this process or sent whole to a pool worker; each
+# block eigensolves its graphs in one stacked call per vertex count
 _CAMPAIGN_BLOCK = 64
 
 
@@ -498,16 +499,13 @@ def randomized_theorem_campaign(
     specs = [
         (master_seed, i, n_lo, n_hi, r_lo, r_hi, b_policy) for i in range(trials)
     ]
-    pooled = jobs > 1 and trials > 1
-    size = _CAMPAIGN_CHUNKSIZE if pooled else _CAMPAIGN_BLOCK
-    blocks = [specs[i : i + size] for i in range(0, trials, size)]
-    if pooled:
+    blocks = [specs[i : i + _CAMPAIGN_BLOCK] for i in range(0, trials, _CAMPAIGN_BLOCK)]
+    if jobs > 1 and len(blocks) > 1:
         # imported here so that a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # the pool forks all its workers at once, so it gets one per chunk at most
-        workers = min(jobs, len(blocks))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool forks all its workers at once, so it gets one per block at most
+        with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
             done = list(pool.map(_campaign_block, blocks))
     else:
         done = [_campaign_block(block) for block in blocks]

@@ -5,6 +5,7 @@ import math
 import random
 from collections import deque
 
+import numpy as np
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -71,6 +72,21 @@ def oracle_adj(n: int, edges) -> tuple:
     return tuple(
         tuple(sorted({w for e in edges if v in e for w in e if w != v})) for v in range(n)
     )
+
+
+def oracle_matrix(g: Graph):
+    """Adjacency matrix of g filled entry by entry from its edge list: the
+    reference for spectral._stack."""
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = 1.0
+    return a
+
+
+def oracle_spectrum(g: Graph) -> tuple:
+    """Eigenvalues of oracle_matrix(g), nonincreasing: a reference that does
+    not come from the library, and that spectral.spectra equals bit for bit."""
+    return tuple(np.linalg.eigvalsh(oracle_matrix(g))[::-1].tolist())
 
 
 def complement(g: Graph) -> Graph:

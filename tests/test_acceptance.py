@@ -14,7 +14,7 @@ import pytest
 
 from oddfactor.factor import check_amahashi, find_odd_factor
 from oddfactor.graphs import Graph
-from oddfactor.spectral import adjacency_matrix, eigenvalues_sym
+from oddfactor.spectral import spectra
 from oddfactor.thresholds import (
     build_extremal,
     extremal_missing,
@@ -32,6 +32,7 @@ from conftest import (
     dfs_odd_factor,
     extremal_partition,
     induced_subgraph,
+    oracle_spectrum,
     petersen_graph,
     quotient_roots,
     random_graph,
@@ -61,7 +62,7 @@ def sweep_data():
             if key not in cache:
                 h = build_extremal(p)
                 parts = extremal_partition(p)
-                spec = eigenvalues_sym(adjacency_matrix(h))
+                spec = oracle_spectrum(h)
                 cache[key] = (h, parts, spec)
             rows.append((p, *cache[key]))
     return rows
@@ -74,7 +75,7 @@ def test_criterion_1_sharpness_reproduction(sweep_data):
         if h is None:
             continue
         checked += 1
-        worst = max(worst, abs(spec.values[0] - p.rho))
+        worst = max(worst, abs(spec[0] - p.rho))
     ok = worst < 1e-9
     assert report(1, ok, f"{checked} constructions, max |lambda1 - rho| = {worst:.3e}")
 
@@ -225,7 +226,7 @@ def test_criterion_8_spectral_foundation(sweep_data):
     worst_trace = worst_energy = 0.0
     for _ in range(200):
         g = random_graph(rng, rng.randrange(1, 13), 0.5)
-        vals = eigenvalues_sym(adjacency_matrix(g)).values
+        vals = spectra([g])[0]
         worst_trace = max(worst_trace, abs(sum(vals)))
         worst_energy = max(worst_energy, abs(sum(v * v for v in vals) - 2 * len(g.edges)))
     if worst_trace >= 1e-8 or worst_energy >= 1e-8:
@@ -240,8 +241,7 @@ def test_criterion_8_spectral_foundation(sweep_data):
         if not keep:
             continue
         h, _ = induced_subgraph(g, keep)
-        gl = eigenvalues_sym(adjacency_matrix(g)).values
-        hl = eigenvalues_sym(adjacency_matrix(h)).values
+        gl, hl = spectra([g, h])
         worst_interlace = max(worst_interlace, max(x - gl[i] for i, x in enumerate(hl)))
         done += 1
     if worst_interlace >= 1e-9:
@@ -259,7 +259,7 @@ def test_criterion_8_spectral_foundation(sweep_data):
             issues.append(f"partition not equitable at ({p.r},{p.b})")
             continue
         for mu in (top, *quotient_roots(q)):
-            worst_embed = max(worst_embed, min(abs(mu - lam) for lam in spec.values))
+            worst_embed = max(worst_embed, min(abs(mu - lam) for lam in spec))
     if worst_embed >= 1e-8:
         issues.append(f"quotient eigenvalue embedding off by {worst_embed:.2e}")
 

@@ -11,6 +11,7 @@ import pytest
 from oddfactor.cli import main, parse_construction
 from oddfactor.factor import FactorCertificate
 from oddfactor.graphs import Graph, complete_graph, cycle_graph, serialize_edge_list
+from conftest import oracle_spectrum
 
 
 def run(capsys, *argv):
@@ -100,6 +101,16 @@ def test_spectrum_from_file(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["values"] == [3.0, -1.0, -1.0, -1.0]
     assert list(payload) == ["values"]
+
+
+@pytest.mark.parametrize("spec", ["K4", "C7", "M10", "H:r=8,b=3"])
+def test_spectrum_prints_the_reference_values(capsys, spec):
+    # at 17 digits the printed values are the reference spectrum, rounded as
+    # the command rounds
+    code, out, err = run(capsys, "spectrum", spec, "--digits", "17")
+    assert code == 0 and err == ""
+    expected = [round(v, 17) + 0.0 for v in oracle_spectrum(parse_construction(spec))]
+    assert json.loads(out)["values"] == expected
 
 
 def test_spectrum_from_construction_spec(capsys):
@@ -338,7 +349,10 @@ from oddfactor.cli import main
 assert main(["verify", "sweep", "--r-max", "6"]) == 0
 assert main(["verify", "campaign", "--trials", "4", "--jobs", "1"]) == 0
 seen = [loaded()]
+# one block of trials runs serially whatever --jobs says
 assert main(["verify", "campaign", "--trials", "4", "--jobs", "2"]) == 0
+seen.append(loaded())
+assert main(["verify", "campaign", "--trials", "65", "--jobs", "2"]) == 0
 seen.append(loaded())
 print(json.dumps(seen))
 """
@@ -347,7 +361,7 @@ print(json.dumps(seen))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert json.loads(out.splitlines()[-1]) == [[], ["concurrent", "multiprocessing"]]
+    assert json.loads(out.splitlines()[-1]) == [[], [], ["concurrent", "multiprocessing"]]
 
 
 def test_module_all_lists_exactly_its_public_definitions():

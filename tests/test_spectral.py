@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from oddfactor import spectral
-from oddfactor.graphs import complete_graph, cycle_graph, empty_graph
-from oddfactor.spectral import adjacency_matrix, eigenvalues_sym, spectra
+from oddfactor.graphs import Graph, complete_graph, cycle_graph, empty_graph
+from oddfactor.spectral import spectra
 from conftest import (
     block_quotient,
     induced_subgraph,
     join,
+    oracle_matrix,
+    oracle_spectrum,
     petersen_graph,
     quotient_roots,
     random_graph,
@@ -22,36 +24,43 @@ def spectra_close(values, expected, tol=1e-9):
     assert max(abs(a - b) for a, b in zip(values, expected)) < tol
 
 
+def _spec(g):
+    return spectra([g])[0]
+
+
 def test_adjacency_matrix():
-    assert adjacency_matrix(complete_graph(2)).tolist() == [[0, 1], [1, 0]]
-    assert adjacency_matrix(empty_graph(2)).tolist() == [[0, 0], [0, 0]]
-    a = adjacency_matrix(cycle_graph(3))
-    assert np.array_equal(a, np.ones((3, 3)) - np.eye(3))
+    # the matrix builder itself, not only its spectra: two isospectral
+    # mistakes would pass a spectrum test
+    a = spectral._stack([complete_graph(2), empty_graph(2)], 2)
+    assert a.tolist() == [[[0, 1], [1, 0]], [[0, 0], [0, 0]]]
+    a = spectral._stack([cycle_graph(3), empty_graph(3), Graph(3, [(0, 1)])], 3)
+    assert np.array_equal(a[0], np.ones((3, 3)) - np.eye(3))
+    assert np.array_equal(a[1], np.zeros((3, 3)))
+    assert a[2].tolist() == [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
     for k in (0, 1, 3):
-        assert np.array_equal(adjacency_matrix(empty_graph(k)), np.zeros((k, k)))
+        assert np.array_equal(spectral._stack([empty_graph(k)] * 2, k), np.zeros((2, k, k)))
 
 
 def test_adjacency_matrix_matches_entrywise_reference():
     rng = random.Random(8)
-    for _ in range(40):
-        g = random_graph(rng, rng.randrange(1, 12), rng.random())
-        ref = np.zeros((g.n, g.n))
-        for u, v in g.edges:
-            ref[u, v] = ref[v, u] = 1.0
-        a = adjacency_matrix(g)
-        assert a.dtype == np.float64 and np.array_equal(a, ref)
+    for n in range(1, 12):
+        gs = [random_graph(rng, n, rng.random()) for _ in range(4)]
+        a = spectral._stack(gs, n)
+        assert a.dtype == np.float64 and a.shape == (4, n, n)
+        for layer, g in zip(a, gs):
+            assert np.array_equal(layer, oracle_matrix(g))
 
 
 def test_closed_form_spectra():
     # K_n: n-1 once, -1 with multiplicity n-1
-    spectra_close(eigenvalues_sym(adjacency_matrix(complete_graph(4))).values, [3, -1, -1, -1])
+    spectra_close(_spec(complete_graph(4)), [3, -1, -1, -1])
     # C_n: 2cos(2 pi k / n)
     for n in (4, 5, 7):
         expected = sorted((2 * math.cos(2 * math.pi * k / n) for k in range(n)), reverse=True)
-        spectra_close(eigenvalues_sym(adjacency_matrix(cycle_graph(n))).values, expected)
+        spectra_close(_spec(cycle_graph(n)), expected)
     # complete bipartite K_{3,3}: +-3 and zeros
     k33 = join(empty_graph(3), empty_graph(3))
-    spectra_close(eigenvalues_sym(adjacency_matrix(k33)).values, [3, 0, 0, 0, 0, -3])
+    spectra_close(_spec(k33), [3, 0, 0, 0, 0, -3])
 
 
 def test_against_independent_eigensolver():
@@ -59,33 +68,33 @@ def test_against_independent_eigensolver():
     worst = 0.0
     for _ in range(50):
         g = random_graph(rng, rng.randrange(1, 14), 0.4)
-        mine = np.array(eigenvalues_sym(adjacency_matrix(g)).values)
+        mine = np.array(_spec(g))
         # general nonsymmetric LAPACK routine, independent of eigvalsh
-        ref = np.sort(np.linalg.eigvals(adjacency_matrix(g)).real)[::-1]
+        ref = np.sort(np.linalg.eigvals(oracle_matrix(g)).real)[::-1]
         worst = max(worst, float(np.max(np.abs(mine - ref))))
     assert worst < 1e-9
 
 
 def test_spectrum_sorted_and_deterministic():
     g = petersen_graph()
-    s1 = eigenvalues_sym(adjacency_matrix(g))
-    s2 = eigenvalues_sym(adjacency_matrix(g))
-    assert s1.values == s2.values
-    assert all(a >= b for a, b in zip(s1.values, s1.values[1:]))
+    s1 = _spec(g)
+    assert _spec(g) == s1
+    assert type(s1) is tuple and all(type(v) is float for v in s1)
+    assert all(a >= b for a, b in zip(s1, s1[1:]))
 
 
 def test_trace_and_energy_identities():
     rng = random.Random(23)
     for _ in range(40):
         g = random_graph(rng, rng.randrange(1, 14), 0.5)
-        vals = eigenvalues_sym(adjacency_matrix(g)).values
+        vals = _spec(g)
         assert abs(sum(vals)) < 1e-9
         assert abs(sum(v * v for v in vals) - 2 * len(g.edges)) < 1e-8
 
 
 def _lam(g, k):
     """lambda_k, the k-th largest adjacency eigenvalue (1-indexed)."""
-    return eigenvalues_sym(adjacency_matrix(g)).values[k - 1]
+    return _spec(g)[k - 1]
 
 
 def test_lambda_k():
@@ -99,17 +108,6 @@ def test_regular_lambda1_equals_degree():
         assert abs(_lam(g, 1) - g.regular_degree()) < 1e-9
 
 
-def test_eigenvalues_sym_input_validation():
-    with pytest.raises(ValueError):
-        eigenvalues_sym(np.zeros((0, 0)))
-    with pytest.raises(ValueError):
-        eigenvalues_sym(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        eigenvalues_sym([[0.0, 1.0], [2.0, 0.0]])
-    with pytest.raises(ValueError):
-        eigenvalues_sym([[float("nan"), 0.0], [0.0, 0.0]])
-
-
 def test_spectra_equal_single_spectra_on_mixed_orders():
     # orders interleave, so each stack gathers graphs from across the list
     rng = random.Random(43)
@@ -117,42 +115,19 @@ def test_spectra_equal_single_spectra_on_mixed_orders():
     gs += [petersen_graph(), complete_graph(1), empty_graph(3)]
     assert len({g.n for g in gs}) == 14
     got = spectra(iter(gs))
-    assert got == [eigenvalues_sym(adjacency_matrix(g)) for g in gs]
+    # exact: the stacked solve gives the bits of one matrix solved alone
+    assert got == [oracle_spectrum(g) for g in gs]
     # a graph's values do not depend on the others in the list
     assert spectra(gs[5:6]) == got[5:6]
     assert spectra([]) == []
 
 
-BAD_MATRICES = [
-    (np.zeros((0, 0)), "matrix must have order >= 1"),
-    (np.zeros((2, 3)), "expected a square matrix, got shape"),
-    ([[0.0, 1.0], [2.0, 0.0]], "matrix must be exactly symmetric"),
-    ([[float("nan"), 0.0], [0.0, 0.0]], "matrix entries must be finite"),
-    ([[float("inf"), 0.0], [0.0, 0.0]], "matrix entries must be finite"),
-]
-
-
-@pytest.mark.parametrize("m, message", BAD_MATRICES)
-def test_stacked_path_rejects_what_the_single_path_rejects(m, message):
-    a = np.asarray(m, dtype=np.float64)
-    with pytest.raises(ValueError, match=message):
-        eigenvalues_sym(a)
-    # the bad matrix sits behind a good one in a stack of the same shape
-    stack = np.stack([np.zeros_like(a), a])
-    with pytest.raises(ValueError, match=message):
-        spectral._eigvalsh(stack, 3)
-
-
-def test_stack_and_single_reject_the_other_rank():
-    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 2, 3\)"):
-        spectral._eigvalsh(np.zeros((2, 2, 3)), 3)
-    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(1, 2, 2\)"):
-        eigenvalues_sym(np.zeros((1, 2, 2)))
-    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 2\)"):
-        spectral._eigvalsh(np.zeros((2, 2)), 3)
-    # the graph on no vertices is the one input spectra can be given that fails
+@pytest.mark.parametrize("orders", [(0,), (2, 0), (0, 2), (2, 0, 3)])
+def test_spectra_rejects_the_graph_on_no_vertices(orders):
+    # numpy would give it an empty spectrum; it is the one graph spectra refuses
+    gs = [complete_graph(n) if n else empty_graph(0) for n in orders]
     with pytest.raises(ValueError, match="matrix must have order >= 1"):
-        spectra([complete_graph(2), empty_graph(0)])
+        spectra(iter(gs))
 
 
 def test_interlacing_on_induced_subgraphs():
@@ -164,8 +139,8 @@ def test_interlacing_on_induced_subgraphs():
         if not keep:
             continue
         h, _ = induced_subgraph(g, keep)
-        gl = eigenvalues_sym(adjacency_matrix(g)).values
-        hl = eigenvalues_sym(adjacency_matrix(h)).values
+        gl = _spec(g)
+        hl = _spec(h)
         for i, x in enumerate(hl):
             assert x <= gl[i] + 1e-9
         done += 1
@@ -219,7 +194,7 @@ def test_equitable_partition_eigs_contained_in_spectrum():
     for g, parts in cases:
         equitable, q = block_quotient(g, parts)
         assert equitable
-        spec = eigenvalues_sym(adjacency_matrix(g)).values
+        spec = _spec(g)
         for mu in quotient_roots(q):
             assert min(abs(mu - lam) for lam in spec) < 1e-8
         # connected host: top quotient eigenvalue is the spectral radius
@@ -234,7 +209,7 @@ def test_quotient_eigs_interlace_even_when_not_equitable():
         cut = rng.randrange(1, g.n)
         parts = [list(range(cut)), list(range(cut, g.n))]
         mu1, mu2 = quotient_roots(block_quotient(g, parts)[1])
-        lam = eigenvalues_sym(adjacency_matrix(g)).values
+        lam = _spec(g)
         n = g.n
         assert mu1 <= lam[0] + 1e-8 and mu1 >= lam[n - 2] - 1e-8
         assert mu2 <= lam[1] + 1e-8 and mu2 >= lam[n - 1] - 1e-8

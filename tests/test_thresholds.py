@@ -3,7 +3,6 @@ import math
 import pytest
 
 from oddfactor.graphs import complete_graph, cycle_graph, matching_complement
-from oddfactor.spectral import adjacency_matrix, eigenvalues_sym
 from oddfactor.thresholds import (
     DegenerateConstructionError,
     _missing_quotient,
@@ -14,7 +13,14 @@ from oddfactor.thresholds import (
     threshold_params,
 )
 from oddfactor.verify import bound_sweep
-from conftest import block_quotient, complement, extremal_partition, join, quotient_roots
+from conftest import (
+    block_quotient,
+    complement,
+    extremal_partition,
+    join,
+    oracle_spectrum,
+    quotient_roots,
+)
 
 SQRT2 = math.sqrt(2)
 
@@ -191,8 +197,7 @@ def test_missing_pair_matrix_matches_graph_oracle():
                 with pytest.raises(DegenerateConstructionError):
                     extremal_missing(p)
                 continue
-            a = adjacency_matrix(build_extremal(p))
-            lam1[r, b] = eigenvalues_sym(a).values[0]
+            lam1[r, b] = oracle_spectrum(build_extremal(p))[0]
     assert len(lam1) == 609
     rows = bound_sweep(60)
     assert len(rows) == 899
@@ -273,7 +278,7 @@ def test_sharpness_and_quotient_agreement_sampled():
         if p.r % 2 == 1 and p.eta < 3:
             continue
         h = build_extremal(p)
-        lam1 = eigenvalues_sym(adjacency_matrix(h)).values[0]
+        lam1 = oracle_spectrum(h)[0]
         assert abs(lam1 - p.rho) < 1e-9
         parts = extremal_partition(p)
         if len(parts) == 2:

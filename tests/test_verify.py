@@ -18,7 +18,6 @@ from oddfactor.graphs import (
     cycle_graph,
     serialize_edge_list,
 )
-from oddfactor.spectral import adjacency_matrix, eigenvalues_sym
 from oddfactor.thresholds import (
     DegenerateConstructionError,
     _missing_quotient,
@@ -46,6 +45,7 @@ from conftest import (
     cubic_no_matching_16,
     disjoint_union,
     extremal_partition,
+    oracle_spectrum,
     petersen_graph,
     quartic_no_matching_22,
     quotient_roots,
@@ -189,7 +189,7 @@ def test_contrapositive_cubic_witness():
     g = cubic_no_matching_16()
     assert g.regular_degree() == 3
     assert check_amahashi(g, 1) is not None
-    assert eigenvalues_sym(adjacency_matrix(g)).values[2] >= threshold_params(3, 1).rho - 1e-9
+    assert oracle_spectrum(g)[2] >= threshold_params(3, 1).rho - 1e-9
 
 
 def test_contrapositive_quartic_witness():
@@ -197,7 +197,7 @@ def test_contrapositive_quartic_witness():
     assert g.regular_degree() == 4
     v = check_amahashi(g, 1)
     assert v is not None and v.o >= v.bound + 2
-    assert eigenvalues_sym(adjacency_matrix(g)).values[2] >= threshold_params(4, 1).rho - 1e-9
+    assert oracle_spectrum(g)[2] >= threshold_params(4, 1).rho - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +497,7 @@ def test_campaign_reproducible():
 
 
 def test_campaign_parallel_matches_serial():
-    # 130 trials span three serial blocks and seventeen pool chunks
+    # 16 trials are one block and run serially; 130 span three pool tasks
     for trials in (16, 130):
         s1 = randomized_theorem_campaign(trials, master_seed=31, jobs=1)
         s2 = randomized_theorem_campaign(trials, master_seed=31, jobs=2)
@@ -515,11 +515,11 @@ def test_campaign_blocks_equal_single_checks(policy):
     for rep in full:
         g = random_regular(rep.n, rep.r, seed=rep.seed)
         assert theorem_check(g, rep.b, seed=rep.seed) == rep
-        # exact: the stacked solve gives the single solve's bits
-        assert rep.lambda3 == eigenvalues_sym(adjacency_matrix(g)).values[2]
+        # exact: the stacked solve gives the bits of the matrix solved alone
+        assert rep.lambda3 == oracle_spectrum(g)[2]
 
 
-def test_campaign_pool_gets_one_worker_per_chunk(monkeypatch):
+def test_campaign_pool_gets_one_worker_per_block(monkeypatch):
     # a stand-in pool that records its size and runs the trials in this
     # process, so the test starts no process whatever --jobs says
     import concurrent.futures
@@ -540,11 +540,13 @@ def test_campaign_pool_gets_one_worker_per_chunk(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    for trials, jobs, workers in ((2, 64, 1), (8, 3, 1), (9, 3, 2), (17, 2, 2), (17, 64, 3)):
+    serial = randomized_theorem_campaign(200, master_seed=3, jobs=1).reports
+    # blocks of 64 trials; one block runs serially whatever --jobs says
+    cases = ((2, 64, None), (64, 2, None), (65, 2, 2), (129, 2, 2), (129, 8, 3), (200, 64, 4))
+    for trials, jobs, workers in cases:
         pooled = randomized_theorem_campaign(trials, master_seed=3, jobs=jobs)
-        assert sizes.pop() == workers, (trials, jobs)
-        serial = randomized_theorem_campaign(trials, master_seed=3, jobs=1)
-        assert pooled.reports == serial.reports
+        assert (sizes.pop() if sizes else None) == workers, (trials, jobs)
+        assert pooled.reports == serial[:trials]
     assert not sizes
 
 
