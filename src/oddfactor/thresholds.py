@@ -16,7 +16,7 @@ certified integer quotient of its degree classes.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, complete_minus
 
@@ -35,8 +35,7 @@ class DegenerateConstructionError(ValueError):
     """The extremal construction is undefined for these parameters (odd r, eta < 3)."""
 
 
-@dataclass(frozen=True)
-class ThresholdParams:
+class ThresholdParams(NamedTuple):
     r: int
     b: int
     ceil_rb: int
@@ -47,7 +46,7 @@ class ThresholdParams:
     rho: float
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _parity(k: int) -> str:
@@ -78,15 +77,9 @@ def threshold_params(r: int, b: int) -> ThresholdParams:
     # eta inherits the parity of r
     if eta % 2 != x:
         raise AssertionError(f"eta parity broken at r={r}, b={b}")
+    rho = (r - 2 - x + math.sqrt((r + 2 + x) ** 2 - 4 * eta)) / 2
     return ThresholdParams(
-        r=r,
-        b=b,
-        ceil_rb=ceil_rb,
-        epsilon=epsilon,
-        eta=eta,
-        parity_case=f"{_parity(r)}-{_parity(ceil_rb)}",
-        parity_offset=x,
-        rho=(r - 2 - x + math.sqrt((r + 2 + x) ** 2 - 4 * eta)) / 2,
+        r, b, ceil_rb, epsilon, eta, f"{_parity(r)}-{_parity(ceil_rb)}", x, rho
     )
 
 
@@ -185,7 +178,8 @@ def _missing_quotient(p: ThresholdParams, order: int, missing) -> tuple:
     # each class, keyed by its vertices' missing count, as its smallest vertex
     first = {k: lost.index(k) for k in dict.fromkeys(lost)}
     size = {k: lost.count(k) for k in first}
-    equitable = all(inner[v] == inner[first[k]] for v, k in enumerate(lost))
+    # one inner count per class
+    equitable = len(set(zip(lost, inner))) == len(first)
     q = [
         [size[j] - 1 - inner[f] if j == i else size[j] - lost[f] + inner[f] for j in first]
         for i, f in first.items()

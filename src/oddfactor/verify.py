@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .factor import find_odd_factor
 from .graphs import Graph, complete_minus, is_connected, serialize_edge_list
@@ -107,8 +108,7 @@ class Case2Report:
     passed: bool
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     r: int
     b: int
     ceil_rb: int
@@ -355,10 +355,11 @@ def case2_polynomial_check(r: int, b: int) -> Case2Report:
 
 
 def bound_sweep(r_max: int) -> list:
-    """One row per (r, b) with 3 <= r <= r_max and odd b < r: every
-    closed-form bound plus lambda1_H, the top root of the extremal
+    """One row per (r, b) with 3 <= r <= r_max and odd b < r, in that order:
+    every closed-form bound plus lambda1_H, the top root of the extremal
     component's integer quotient, which thresholds.extremal_missing returns
-    with the set it has checked.
+    with the set it has checked. The 1-factor bounds depend on r alone and
+    the root on (r, eta), so each is computed once.
 
     A row is sharp when that root is certified, which makes it rho exactly.
     lambda1_H stays None on degenerate constructions (odd r, eta < 3). Each
@@ -369,60 +370,38 @@ def bound_sweep(r_max: int) -> list:
         raise ValueError(f"r_max must be at least 3, got {r_max}")
     root_cache: dict = {}
     rows = []
-    pairs = [(r, b) for r in range(3, r_max + 1) for b in range(1, r, 2)]
-    for r, b in pairs:
-        p = threshold_params(r, b)
-        lwy = lwy_threshold(r, b)
+    for r in range(3, r_max + 1):
         bh, cgh = prior_1factor_thresholds(r)
-        key = (r, p.eta)
-        if key not in root_cache:
-            try:
-                root_cache[key] = extremal_missing(p)[2][2:]
-            except DegenerateConstructionError:
-                root_cache[key] = None, False
-        lam1, certified = root_cache[key]
-        rows.append(
-            SweepRow(
-                r=r,
-                b=b,
-                ceil_rb=p.ceil_rb,
-                epsilon=p.epsilon,
-                eta=p.eta,
-                rho=p.rho,
-                lwy=lwy,
-                cgh=cgh,
-                bh=bh,
-                lambda1_H=lam1,
-                rho_ge_lwy=p.rho >= lwy,
-                lwy_tie=abs(p.rho - lwy) <= GUARD,
-                sharpness_ok=None if lam1 is None else certified,
+        for b in range(1, r, 2):
+            p = threshold_params(r, b)
+            lwy = lwy_threshold(r, b)
+            key = (r, p.eta)
+            if key not in root_cache:
+                try:
+                    root_cache[key] = extremal_missing(p)[2][2:]
+                except DegenerateConstructionError:
+                    root_cache[key] = None, False
+            lam1, certified = root_cache[key]
+            rho = p.rho
+            rows.append(
+                SweepRow(
+                    r, b, p.ceil_rb, p.epsilon, p.eta, rho, lwy, cgh, bh, lam1,
+                    rho >= lwy, abs(rho - lwy) <= GUARD, None if lam1 is None else certified,
+                )
             )
-        )
     return rows
 
 
-def _fmt(x: float, digits: int = 9) -> str:
-    return f"{x:.{digits}f}"
-
-
 def sweep_to_csv(rows) -> str:
+    """The rows as CSV under SWEEP_CSV_HEADER: the integer columns as they
+    are, every bound to 9 decimals, and an empty lambda1_H cell where the
+    construction is degenerate."""
     lines = [SWEEP_CSV_HEADER]
     for row in rows:
+        lam1 = "" if row.lambda1_H is None else f"{row.lambda1_H:.9f}"
         lines.append(
-            ",".join(
-                [
-                    str(row.r),
-                    str(row.b),
-                    str(row.ceil_rb),
-                    str(row.epsilon),
-                    str(row.eta),
-                    _fmt(row.rho),
-                    _fmt(row.lwy),
-                    _fmt(row.cgh),
-                    _fmt(row.bh),
-                    "" if row.lambda1_H is None else _fmt(row.lambda1_H),
-                ]
-            )
+            f"{row.r},{row.b},{row.ceil_rb},{row.epsilon},{row.eta},"
+            f"{row.rho:.9f},{row.lwy:.9f},{row.cgh:.9f},{row.bh:.9f},{lam1}"
         )
     return "\n".join(lines) + "\n"
 

@@ -18,6 +18,7 @@ from oddfactor.graphs import (
     SelfLoopError,
     VertexRangeError,
 )
+from oddfactor.verify import SWEEP_CSV_HEADER
 
 # edge-count guard of dfs_odd_factor, whose search is exponential in the edges
 DFS_MAX_EDGES = 64
@@ -264,6 +265,24 @@ def quotient_roots(q) -> tuple:
     return ((a + d + root) / 2, (a + d - root) / 2)
 
 
+def oracle_equitable(order: int, missing) -> bool:
+    """Whether the degree classes of K_order minus `missing` are equitable,
+    vertex by vertex: each vertex misses as many pairs inside its class as
+    the class's smallest vertex. The reference for the flag of
+    thresholds._missing_quotient."""
+    lost = [0] * order
+    for u, v in missing:
+        lost[u] += 1
+        lost[v] += 1
+    inner = [0] * order
+    for u, v in missing:
+        if lost[u] == lost[v]:
+            inner[u] += 1
+            inner[v] += 1
+    first = {k: lost.index(k) for k in dict.fromkeys(lost)}
+    return all(inner[v] == inner[first[k]] for v, k in enumerate(lost))
+
+
 def petersen_graph() -> Graph:
     """Kneser graph on the 2-subsets of a 5-set, disjointness adjacency."""
     verts = list(itertools.combinations(range(5), 2))
@@ -428,3 +447,35 @@ def dfs_odd_factor(g: Graph, b: int, max_edges: int = DFS_MAX_EDGES):
         final[u] += 1
         final[w] += 1
     return FactorCertificate(edges=picked, degrees=tuple(final))
+
+
+# ---------------------------------------------------------------------------
+# the sweep table
+
+
+def _fmt(x: float, digits: int = 9) -> str:
+    return f"{x:.{digits}f}"
+
+
+def oracle_sweep_csv(rows) -> str:
+    """The sweep's CSV, cell by cell, as verify.sweep_to_csv wrote it before
+    it formatted each row in one string: the reference for its bytes."""
+    lines = [SWEEP_CSV_HEADER]
+    for row in rows:
+        lines.append(
+            ",".join(
+                [
+                    str(row.r),
+                    str(row.b),
+                    str(row.ceil_rb),
+                    str(row.epsilon),
+                    str(row.eta),
+                    _fmt(row.rho),
+                    _fmt(row.lwy),
+                    _fmt(row.cgh),
+                    _fmt(row.bh),
+                    "" if row.lambda1_H is None else _fmt(row.lambda1_H),
+                ]
+            )
+        )
+    return "\n".join(lines) + "\n"

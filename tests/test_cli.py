@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import inspect
 import json
@@ -29,6 +30,31 @@ def test_threshold_json(capsys):
     assert payload["cgh"] == pytest.approx(3.645751311, abs=1e-9)
     assert payload["bh"] == pytest.approx(3.6, abs=1e-9)
     assert payload["eta"] == 2 and payload["parity_case"] == "even-even"
+
+
+@pytest.mark.parametrize(
+    "r, b, line",
+    [
+        (
+            7,
+            3,
+            '{"r": 7, "b": 3, "ceil_rb": 3, "epsilon": 2, "eta": 1, "parity_case": "odd-odd", '
+            '"parity_offset": 1, "rho": 6.898979486, "lwy": 6.887345679, "cgh": 6.472135955, '
+            '"bh": 6.333333333}',
+        ),
+        (
+            4,
+            1,
+            '{"r": 4, "b": 1, "ceil_rb": 4, "epsilon": 2, "eta": 2, "parity_case": "even-even", '
+            '"parity_offset": 0, "rho": 3.645751311, "lwy": 3.633333333, "cgh": 3.645751311, '
+            '"bh": 3.6}',
+        ),
+    ],
+)
+def test_threshold_json_bytes_are_pinned(capsys, r, b, line):
+    # the record's fields in declaration order, then the three other bounds
+    code, out, err = run(capsys, "threshold", "--r", str(r), "--b", str(b), "--format", "json")
+    assert (code, out, err) == (0, line + "\n", "")
 
 
 def test_threshold_text(capsys):
@@ -455,6 +481,14 @@ def test_verify_sweep(capsys):
     assert lines[0] == "r,b,ceil_rb,epsilon,eta,rho,lwy,cgh,bh,lambda1_H"
     assert len(lines) == 1 + sum(len(range(1, r, 2)) for r in range(3, 9))
     assert "rho < lwy" in err  # the eta=0 rows are reported on stderr
+
+
+def test_verify_sweep_stdout_is_pinned(capsys):
+    # the digest of the 9999-row table as the cell-by-cell formatter wrote it
+    code, out, err = run(capsys, "verify", "sweep", "--r-max", "200")
+    assert code == 0 and out.count("\n") == 1 + 9999
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "503caeba32f8c71b4d52fe4533aeec1ea8ca58225582f668e429bba9880622eb"
 
 
 def test_verify_sweep_to_file(capsys, tmp_path):

@@ -3,7 +3,6 @@ import hashlib
 import io
 import math
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,14 +19,18 @@ from oddfactor.graphs import (
 )
 from oddfactor.thresholds import (
     DegenerateConstructionError,
+    ThresholdParams,
     _missing_quotient,
     build_extremal,
     extremal_missing,
+    lwy_threshold,
+    prior_1factor_thresholds,
     threshold_params,
 )
 from oddfactor.verify import (
     GUARD,
     SWEEP_CSV_HEADER,
+    SweepRow,
     _shuffle,
     _trial_seed,
     bound_sweep,
@@ -45,7 +48,9 @@ from conftest import (
     cubic_no_matching_16,
     disjoint_union,
     extremal_partition,
+    oracle_equitable,
     oracle_spectrum,
+    oracle_sweep_csv,
     petersen_graph,
     quartic_no_matching_22,
     quotient_roots,
@@ -262,16 +267,18 @@ def test_missing_quotient_reports_unequal_blocks():
 
 
 def test_quotient_certificate_holds_up_to_r_200():
-    # the two integer equalities hold on every constructible pair, and the
-    # certified root is rho to the last bit
+    # the two integer equalities hold on every constructible pair, the
+    # equitable flag agrees with the vertex-by-vertex rule, and the certified
+    # root is rho to the last bit
     pairs = set()
     for r in range(3, 201):
         for b in range(1, r, 2):
             p = threshold_params(r, b)
             if r % 2 == 1 and p.eta < 3:
                 continue
-            equitable, rows, top, certified = extremal_missing(p)[2]
+            order, missing, (equitable, rows, top, certified) = extremal_missing(p)
             assert equitable and certified, (r, b, rows)
+            assert equitable == oracle_equitable(order, missing), (r, b)
             assert top == p.rho, (r, b)
             pairs.add((r, b, p.eta))
     assert len(pairs) == 6699 and len({(r, eta) for r, _, eta in pairs}) == 1734
@@ -303,6 +310,7 @@ def test_failed_certificate_breaks_sharpness(missing, rows, monkeypatch, capsys)
     assert err.count("sharpness violated") == 1
     rep = sharpness_check(5, 1)
     assert not rep.passed and not rep.equitable
+    assert rep.equitable == oracle_equitable(7, missing)
     # the independent eigensolve disagrees (its last digits vary with BLAS),
     # and the certificate fails
     assert len(rep.issues) == 2
@@ -327,7 +335,7 @@ def test_one_block_certificate():
     # a shape-valid single block whose entry is not r does not certify: the
     # 7-cycle leaves K_7 4-regular, the shape of r = 5 with eta = 7
     cycle = tuple((i, i + 1) for i in range(6)) + ((0, 6),)
-    p = replace(threshold_params(5, 1), eta=7)
+    p = threshold_params(5, 1)._replace(eta=7)
     assert _missing_quotient(p, 7, cycle) == (True, [[4]], 4.0, False)
 
 
@@ -340,7 +348,7 @@ def test_certificate_rejects_another_pairs_quotient():
     # a shape-valid equitable set whose quotient has the wrong trace: K_9
     # minus a 2-star from each of 0, 1, 2 into 3..8 has eta = 3 vertices of
     # degree 6 and six of degree 7; every (7, b) has eta 5 or 1, never 3
-    p = replace(threshold_params(7, 1), eta=3)
+    p = threshold_params(7, 1)._replace(eta=3)
     missing = ((0, 3), (0, 4), (1, 5), (1, 6), (2, 7), (2, 8))
     equitable, rows, top, certified = _missing_quotient(p, 9, missing)
     assert equitable and rows == [[2, 4], [2, 5]] and not certified
@@ -455,6 +463,80 @@ def test_sweep_matches_benchmark_reference():
                 assert x == y, (g, w)
             else:
                 assert abs(float(x) - float(y)) <= GUARD, (g, w)
+
+
+def test_sweep_csv_matches_the_cell_by_cell_oracle():
+    for r_max in [*range(3, 61), 200]:
+        rows = bound_sweep(r_max)
+        assert sweep_to_csv(rows) == oracle_sweep_csv(rows), r_max
+
+
+def test_bound_sweep_rows_match_a_per_pair_oracle():
+    # each row rebuilt on its own, with no bound shared across b and no root
+    # shared across pairs of one (r, eta)
+    want = []
+    for r in range(3, 61):
+        for b in range(1, r, 2):
+            p = threshold_params(r, b)
+            lwy = lwy_threshold(r, b)
+            bh, cgh = prior_1factor_thresholds(r)
+            try:
+                lam1, sharp = extremal_missing(p)[2][2:]
+            except DegenerateConstructionError:
+                lam1 = sharp = None
+            want.append(
+                dict(
+                    r=r,
+                    b=b,
+                    ceil_rb=p.ceil_rb,
+                    epsilon=p.epsilon,
+                    eta=p.eta,
+                    rho=p.rho,
+                    lwy=lwy,
+                    cgh=cgh,
+                    bh=bh,
+                    lambda1_H=lam1,
+                    rho_ge_lwy=p.rho >= lwy,
+                    lwy_tie=abs(p.rho - lwy) <= GUARD,
+                    sharpness_ok=sharp,
+                )
+            )
+    rows = bound_sweep(60)
+    assert [row._asdict() for row in rows] == want
+    assert [[type(x) for x in row] for row in rows] == [
+        [type(x) for x in w.values()] for w in want
+    ]
+    assert sum(w["lambda1_H"] is None for w in want) == 290
+    assert sum(not w["rho_ge_lwy"] for w in want) == sum(w["eta"] == 0 for w in want) == 239
+
+
+RECORDS = [
+    (
+        ThresholdParams,
+        lambda: threshold_params(7, 3),
+        ("r", "b", "ceil_rb", "epsilon", "eta", "parity_case", "parity_offset", "rho"),
+    ),
+    (
+        SweepRow,
+        lambda: bound_sweep(4)[1],
+        (
+            "r", "b", "ceil_rb", "epsilon", "eta", "rho", "lwy", "cgh", "bh",
+            "lambda1_H", "rho_ge_lwy", "lwy_tie", "sharpness_ok",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("record, make, fields", RECORDS, ids=["ThresholdParams", "SweepRow"])
+def test_records_are_immutable_named_tuples(record, make, fields):
+    assert record._fields == fields
+    made = make()
+    assert type(made) is record and isinstance(made, tuple)
+    assert tuple(made) == tuple(getattr(made, f) for f in fields)
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(made, f, 0)
+    assert made._replace(r=9).r == 9 and made.r != 9
 
 
 def test_bound_sweep_rejects_small_r_max():
