@@ -228,7 +228,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_threshold(args) -> int:
     p = threshold_params(args.r, args.b)
-    lwy = lwy_threshold(args.r, args.b)
+    lwy = lwy_threshold(p)
     bh, cgh = prior_1factor_thresholds(args.r)
     payload = p.to_json_dict()
     payload.update({"lwy": lwy, "cgh": cgh, "bh": bh})
@@ -333,7 +333,6 @@ def _cmd_verify_sweep(args) -> int:
     _emit(sweep_to_csv(rows), args.output)
     bad_sharp = [row for row in rows if row.sharpness_ok is False]
     below = [row for row in rows if not row.rho_ge_lwy]
-    ties = [row for row in rows if row.lwy_tie]
     if below:
         pairs = ", ".join(f"({row.r},{row.b})" for row in below[:8])
         more = "" if len(below) <= 8 else f" and {len(below) - 8} more"
@@ -341,8 +340,6 @@ def _cmd_verify_sweep(args) -> int:
             f"note: rho < lwy on {len(below)} rows (all eta=0): {pairs}{more}",
             file=sys.stderr,
         )
-    if ties:
-        print(f"note: rho == lwy within 1e-9 on {len(ties)} rows", file=sys.stderr)
     if bad_sharp:
         for row in bad_sharp:
             print(

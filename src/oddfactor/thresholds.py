@@ -21,6 +21,7 @@ from typing import NamedTuple
 from .graphs import Graph, complete_minus
 
 __all__ = [
+    "R_MAX",
     "ThresholdParams",
     "DegenerateConstructionError",
     "threshold_params",
@@ -53,9 +54,15 @@ def _parity(k: int) -> str:
     return "even" if k % 2 == 0 else "odd"
 
 
+# the largest degree accepted: floats hold every integer up to it exactly
+R_MAX = 2**53
+
+
 def _check_rb(r: int, b: int) -> None:
     if r < 3:
         raise ValueError(f"degree r must be at least 3, got {r}")
+    if r > R_MAX:
+        raise ValueError(f"degree r must be at most 2**53 = {R_MAX}, got {r}")
     if b < 1 or b % 2 == 0:
         raise ValueError(f"b must be a positive odd integer, got {b}")
     if b >= r:
@@ -72,7 +79,11 @@ def _eta_terms(r: int, b: int) -> tuple:
 
 def threshold_params(r: int, b: int) -> ThresholdParams:
     """All derived threshold quantities for a degree r and odd bound b < r."""
-    ceil_rb, epsilon, eta = _eta_terms(r, b)
+    return _params(r, b, *_eta_terms(r, b))
+
+
+def _params(r: int, b: int, ceil_rb: int, epsilon: int, eta: int) -> ThresholdParams:
+    """threshold_params(r, b) from the _eta_terms(r, b) a caller already holds."""
     x = r % 2
     # eta inherits the parity of r
     if eta % 2 != x:
@@ -83,18 +94,17 @@ def threshold_params(r: int, b: int) -> ThresholdParams:
     )
 
 
-def lwy_threshold(r: int, b: int) -> float:
+def lwy_threshold(p: ThresholdParams) -> float:
     """The Lu-Wu-Yang lower bound on lambda_3 for r-regular even-order graphs
     without an odd [1,b]-factor, in the eta form of its four parity branches."""
-    eta = _eta_terms(r, b)[2]
+    r = p.r
     corr = 1 / ((r + 1) * (r + 2)) if r % 2 == 0 else 1 / (r + 2) ** 2
-    return r - eta / (r + 1) + corr
+    return r - p.eta / (r + 1) + corr
 
 
 def prior_1factor_thresholds(r: int) -> tuple:
     """(Brouwer-Haemers, Cioaba-Gregory-Haemers) 1-factor thresholds for degree r."""
-    if r < 3:
-        raise ValueError(f"degree r must be at least 3, got {r}")
+    _check_rb(r, 1)  # b = 1 passes for every r >= 3, so this checks r alone
     if r % 2 == 0:
         bh = r - 1 + 3 / (r + 1)
         cgh = (r - 2 + math.sqrt(r**2 + 12)) / 2
@@ -167,26 +177,27 @@ def _missing_quotient(p: ThresholdParams, order: int, missing) -> tuple:
             f"extremal graph would have {order * (order - 1) // 2 - len(missing)} edges, "
             f"expected {(r * order - eta) / 2}"
         )
-    degs = [order - 1 - k for k in lost]
-    if degs.count(r - 1) != eta or degs.count(r) != order - eta:
-        raise AssertionError(f"extremal degree profile broken: {sorted(degs)}")
+    # the eta vertices of degree r - 1 miss order - r pairs, the rest one fewer
+    if lost.count(order - r) != eta or lost.count(order - 1 - r) != order - eta:
+        degs = sorted(order - 1 - k for k in lost)
+        raise AssertionError(f"extremal degree profile broken: {degs}")
     inner = [0] * order
     for u, v in missing:
         if lost[u] == lost[v]:
             inner[u] += 1
             inner[v] += 1
-    # each class, keyed by its vertices' missing count, as its smallest vertex
-    first = {k: lost.index(k) for k in dict.fromkeys(lost)}
-    size = {k: lost.count(k) for k in first}
+    # vertex 0 heads the first class, of size n0, vertex f the other one
+    k0 = lost[0]
+    n0 = eta if k0 == order - r else order - eta
     # one inner count per class
-    equitable = len(set(zip(lost, inner))) == len(first)
-    q = [
-        [size[j] - 1 - inner[f] if j == i else size[j] - lost[f] + inner[f] for j in first]
-        for i, f in first.items()
-    ]
-    if len(q) == 1:
-        return equitable, q, float(q[0][0]), equitable and q[0][0] == r
-    (a, b), (c, d) = q
+    equitable = len(set(zip(lost, inner))) == 1 + (n0 < order)
+    a = n0 - 1 - inner[0]
+    if n0 == order:
+        return equitable, [[a]], float(a), equitable and a == r
+    f = lost.index(2 * (order - r) - 1 - k0)
+    n1 = order - n0
+    b, c, d = n1 - k0 + inner[0], n0 - lost[f] + inner[f], n1 - 1 - inner[f]
+    q = [[a, b], [c, d]]
     x = p.parity_offset
     disc = (a - d) ** 2 + 4 * b * c
     certified = equitable and a + d == r - 2 - x and disc == (r + 2 + x) ** 2 - 4 * eta

@@ -7,9 +7,11 @@ minimal-component quotient polynomial is nonpositive at rho(r, b) across its
 whole parameter range; and the threshold compares against the earlier bounds
 over a full (r, b) sweep.
 
-The sweep takes lambda_1 of each extremal component from the integer
-quotient of its degree-class partition, which thresholds reads off the
-component's missing-pair set and certifies by two integer equalities, so it
+The sweep works per (r, eta) class: rho, the Lu-Wu-Yang bound and lambda_1
+of the extremal component are computed once per class and shared by its
+rows, and the CSV formats each class's bounds once. It takes lambda_1 from the
+integer quotient of the component's degree-class partition, which thresholds
+reads off the missing-pair set and certifies by two integer equalities, so it
 eigensolves nothing. Only theorem_check, the campaign and sharpness_check
 eigensolve, all through spectral.spectra; they import spectral, and with it
 numpy, when they run, so the sweep and the quotient-polynomial check start
@@ -29,6 +31,8 @@ from .factor import find_odd_factor
 from .graphs import Graph, complete_minus, is_connected, serialize_edge_list
 from .thresholds import (
     DegenerateConstructionError,
+    _eta_terms,
+    _params,
     extremal_missing,
     lwy_threshold,
     prior_1factor_thresholds,
@@ -55,8 +59,7 @@ __all__ = [
 
 # float comparisons sit on the conservative side of this band: the output of
 # spectral.spectra in theorem_check, the campaign and sharpness_check, and, until
-# they are decided exactly, the closed-form verdicts of case2 and the sweep's lwy
-# tie; solver error is far below it
+# it is decided exactly, the closed-form verdict of case2; solver error is far below it
 GUARD = 1e-9
 
 SWEEP_CSV_HEADER = "r,b,ceil_rb,epsilon,eta,rho,lwy,cgh,bh,lambda1_H"
@@ -120,7 +123,6 @@ class SweepRow(NamedTuple):
     bh: float
     lambda1_H: float | None  # None when the construction is degenerate
     rho_ge_lwy: bool
-    lwy_tie: bool
     sharpness_ok: bool | None
 
 
@@ -358,8 +360,10 @@ def bound_sweep(r_max: int) -> list:
     """One row per (r, b) with 3 <= r <= r_max and odd b < r, in that order:
     every closed-form bound plus lambda1_H, the top root of the extremal
     component's integer quotient, which thresholds.extremal_missing returns
-    with the set it has checked. The 1-factor bounds depend on r alone and
-    the root on (r, eta), so each is computed once.
+    with the set it has checked. Each row derives only its own ceil(r/b),
+    epsilon and eta. The 1-factor bounds depend on r alone, and rho, lwy, the
+    root and both verdicts on (r, eta): the first b of each (r, eta) class
+    computes them from one ThresholdParams, and the class's rows share them.
 
     A row is sharp when that root is certified, which makes it rho exactly.
     lambda1_H stays None on degenerate constructions (odd r, eta < 3). Each
@@ -368,41 +372,41 @@ def bound_sweep(r_max: int) -> list:
     """
     if r_max < 3:
         raise ValueError(f"r_max must be at least 3, got {r_max}")
-    root_cache: dict = {}
     rows = []
     for r in range(3, r_max + 1):
         bh, cgh = prior_1factor_thresholds(r)
+        last_eta = None
         for b in range(1, r, 2):
-            p = threshold_params(r, b)
-            lwy = lwy_threshold(r, b)
-            key = (r, p.eta)
-            if key not in root_cache:
+            ceil_rb, epsilon, eta = _eta_terms(r, b)
+            if eta != last_eta:
+                # the b of one class are consecutive, since eta falls as b grows
+                last_eta = eta
+                p = _params(r, b, ceil_rb, epsilon, eta)
+                rho, lwy = p.rho, lwy_threshold(p)
                 try:
-                    root_cache[key] = extremal_missing(p)[2][2:]
+                    lam1, sharp = extremal_missing(p)[2][2:]
                 except DegenerateConstructionError:
-                    root_cache[key] = None, False
-            lam1, certified = root_cache[key]
-            rho = p.rho
-            rows.append(
-                SweepRow(
-                    r, b, p.ceil_rb, p.epsilon, p.eta, rho, lwy, cgh, bh, lam1,
-                    rho >= lwy, abs(rho - lwy) <= GUARD, None if lam1 is None else certified,
-                )
-            )
+                    lam1 = sharp = None
+                ge = rho >= lwy  # as floats; with eta >= 1 the gap is about 1/r^2 or more
+            rows.append(SweepRow(r, b, ceil_rb, epsilon, eta, rho, lwy, cgh, bh, lam1, ge, sharp))
     return rows
 
 
 def sweep_to_csv(rows) -> str:
     """The rows as CSV under SWEEP_CSV_HEADER: the integer columns as they
     are, every bound to 9 decimals, and an empty lambda1_H cell where the
-    construction is degenerate."""
+    construction is degenerate. The rows of one (r, eta) class share their
+    bounds, so each run of equal bounds is formatted once."""
     lines = [SWEEP_CSV_HEADER]
+    last = tail = None
     for row in rows:
-        lam1 = "" if row.lambda1_H is None else f"{row.lambda1_H:.9f}"
-        lines.append(
-            f"{row.r},{row.b},{row.ceil_rb},{row.epsilon},{row.eta},"
-            f"{row.rho:.9f},{row.lwy:.9f},{row.cgh:.9f},{row.bh:.9f},{lam1}"
-        )
+        bounds = row[5:10]
+        # 0.0 == -0.0 but they print differently, so a zero is never reused
+        if bounds != last or 0.0 in bounds:
+            rho, lwy, cgh, bh, lam1 = last = bounds
+            lam1 = "" if lam1 is None else f"{lam1:.9f}"
+            tail = f"{rho:.9f},{lwy:.9f},{cgh:.9f},{bh:.9f},{lam1}"
+        lines.append(f"{row.r},{row.b},{row.ceil_rb},{row.epsilon},{row.eta},{tail}")
     return "\n".join(lines) + "\n"
 
 
@@ -432,7 +436,9 @@ def _campaign_graph(args) -> tuple:
         b = 1
     else:  # "max"
         b = r - 1 if (r - 1) % 2 == 1 else r - 2
-    n = rng.choice([n for n in range(n_lo, n_hi + 1) if n % 2 == 0 and n > r])
+    # the even n in [n_lo, n_hi] above r; a range draws as its list would
+    start = max(n_lo, r + 1)
+    n = rng.choice(range(start + start % 2, n_hi - n_hi % 2 + 1, 2))
     return random_regular(n, r, seed=seed), b, seed
 
 

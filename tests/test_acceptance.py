@@ -116,7 +116,7 @@ def test_criterion_3_improvement_over_lwy():
     for r in range(3, R_MAX + 1):
         for b in range(1, r, 2):
             p = threshold_params(r, b)
-            lwy = lwy_threshold(r, b)
+            lwy = lwy_threshold(p)
             if p.eta == 0:
                 tied += 1
                 sharp = p.rho == r < lwy
@@ -128,8 +128,8 @@ def test_criterion_3_improvement_over_lwy():
             if not (sharp and min(p.rho, r) >= min(lwy, r)):
                 bad.append((r, b, p.eta))
     strict_ok = (
-        threshold_params(3, 1).rho > lwy_threshold(3, 1)
-        and threshold_params(4, 1).rho > lwy_threshold(4, 1)
+        threshold_params(3, 1).rho > lwy_threshold(threshold_params(3, 1))
+        and threshold_params(4, 1).rho > lwy_threshold(threshold_params(4, 1))
     )
     ok = not bad and strict_ok
     detail = (

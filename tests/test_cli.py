@@ -75,6 +75,21 @@ def test_threshold_bad_b(capsys):
     assert "error:" in err
 
 
+def test_threshold_refuses_r_above_the_float_cap(capsys):
+    # floats hold every integer up to 2**53; above it the CLI answers with a
+    # usage error, where sqrt((r + 2 + x)^2 - 4 eta) once overflowed
+    cap = 2**53
+    for r in (cap + 1, 10**155):
+        code, out, err = run(capsys, "threshold", "--r", str(r), "--b", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: degree r must be at most 2**53 = {cap}, got {r}\n"
+    code, out, err = run(capsys, "threshold", "--r", str(cap), "--b", "1")
+    assert code == 0 and err == ""
+    assert out.splitlines()[:5] == [
+        f"r: {cap}", "b: 1", f"ceil_rb: {cap}", "epsilon: 2", f"eta: {cap - 2}",
+    ]
+
+
 def test_construct_extremal_header(capsys):
     code, out, err = run(capsys, "construct", "H:r=5,b=1")
     assert code == 0

@@ -5,6 +5,7 @@ import pytest
 from oddfactor.graphs import complete_graph, cycle_graph, matching_complement
 from oddfactor.thresholds import (
     DegenerateConstructionError,
+    R_MAX,
     _missing_quotient,
     build_extremal,
     extremal_missing,
@@ -87,9 +88,9 @@ def test_rho_is_degree_when_eta_zero():
 
 
 def test_lwy_spot_values():
-    assert abs(lwy_threshold(4, 1) - 109 / 30) < 1e-12
-    assert abs(lwy_threshold(3, 1) - 2.79) < 1e-12
-    assert abs(lwy_threshold(5, 3) - (5 - 1 / 6 + 1 / 49)) < 1e-12
+    assert abs(lwy_threshold(threshold_params(4, 1)) - 109 / 30) < 1e-12
+    assert abs(lwy_threshold(threshold_params(3, 1)) - 2.79) < 1e-12
+    assert abs(lwy_threshold(threshold_params(5, 3)) - (5 - 1 / 6 + 1 / 49)) < 1e-12
 
 
 def _lwy_four_branch(r, b):
@@ -109,7 +110,18 @@ def test_lwy_matches_four_branch_oracle():
     # eta is the branch's integer numerator, so the two forms agree exactly
     for r in range(3, 201):
         for b in range(1, r, 2):
-            assert lwy_threshold(r, b) == _lwy_four_branch(r, b), (r, b)
+            assert lwy_threshold(threshold_params(r, b)) == _lwy_four_branch(r, b), (r, b)
+
+
+def test_degree_cap_is_checked_everywhere_r_is():
+    assert R_MAX == 2**53
+    assert threshold_params(R_MAX, 1).eta == R_MAX - 2
+    assert math.isfinite(sum(prior_1factor_thresholds(R_MAX)))
+    message = f"degree r must be at most 2\\*\\*53 = {R_MAX}, got {R_MAX + 1}"
+    with pytest.raises(ValueError, match=message):
+        threshold_params(R_MAX + 1, 1)
+    with pytest.raises(ValueError, match=message):
+        prior_1factor_thresholds(R_MAX + 1)
 
 
 def test_prior_1factor_thresholds():

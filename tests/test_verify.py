@@ -284,6 +284,29 @@ def test_quotient_certificate_holds_up_to_r_200():
     assert len(pairs) == 6699 and len({(r, eta) for r, _, eta in pairs}) == 1734
 
 
+def test_quotient_rows_have_the_closed_form_up_to_r_200():
+    # the rows are linear in r and eta: [[r - eta, eta], [r + 1 - eta, eta - 2]]
+    # for even r and [[r - eta, eta], [r + 2 - eta, eta - 3]] for odd r, whose
+    # first class, the cycle's, holds the degree r - 1 vertices; eta = 0 leaves
+    # K_{r+1}, one class with entry r
+    pairs = 0
+    for r in range(3, 201):
+        x = r % 2
+        for b in range(1, r, 2):
+            p = threshold_params(r, b)
+            eta = p.eta
+            if x == 1 and eta < 3:
+                continue
+            want = [[r - eta, eta], [r + 1 + x - eta, eta - 2 - x]]
+            if eta == 0:
+                want = [[r]]
+            elif x == 1:
+                want = [row[::-1] for row in want[::-1]]
+            assert extremal_missing(p)[2][1] == want, (r, b)
+            pairs += 1
+    assert pairs == 6699
+
+
 # valid extremal shapes for (5, 1) whose degree classes are not equitable,
 # with the rows read off each class's smallest vertex; the second set's rows
 # are those of the true quotient, so only the equitability check rejects it
@@ -423,7 +446,6 @@ def test_bound_sweep_lwy_comparison_structure():
         else:
             assert not row.rho_ge_lwy
             assert abs((row.lwy - row.rho) - 1 / ((row.r + 1) * (row.r + 2))) < 1e-12
-        assert not row.lwy_tie
 
 
 def test_bound_sweep_sharpness_all_ok():
@@ -478,7 +500,7 @@ def test_bound_sweep_rows_match_a_per_pair_oracle():
     for r in range(3, 61):
         for b in range(1, r, 2):
             p = threshold_params(r, b)
-            lwy = lwy_threshold(r, b)
+            lwy = lwy_threshold(p)
             bh, cgh = prior_1factor_thresholds(r)
             try:
                 lam1, sharp = extremal_missing(p)[2][2:]
@@ -497,7 +519,6 @@ def test_bound_sweep_rows_match_a_per_pair_oracle():
                     bh=bh,
                     lambda1_H=lam1,
                     rho_ge_lwy=p.rho >= lwy,
-                    lwy_tie=abs(p.rho - lwy) <= GUARD,
                     sharpness_ok=sharp,
                 )
             )
@@ -521,7 +542,7 @@ RECORDS = [
         lambda: bound_sweep(4)[1],
         (
             "r", "b", "ceil_rb", "epsilon", "eta", "rho", "lwy", "cgh", "bh",
-            "lambda1_H", "rho_ge_lwy", "lwy_tie", "sharpness_ok",
+            "lambda1_H", "rho_ge_lwy", "sharpness_ok",
         ),
     ),
 ]
@@ -537,6 +558,17 @@ def test_records_are_immutable_named_tuples(record, make, fields):
         with pytest.raises(AttributeError):
             setattr(made, f, 0)
     assert made._replace(r=9).r == 9 and made.r != 9
+
+
+def test_sweep_csv_never_shares_a_tail_between_signed_zeros():
+    # 0.0 == -0.0, but they print differently
+    row = bound_sweep(4)[1]
+    rows = [row._replace(rho=z, lwy=z) for z in (0.0, -0.0, -0.0, 0.0)]
+    text = sweep_to_csv(rows)
+    assert [line.split(",")[5] for line in text.splitlines()[1:]] == [
+        "0.000000000", "-0.000000000", "-0.000000000", "0.000000000",
+    ]
+    assert text == oracle_sweep_csv(rows)
 
 
 def test_bound_sweep_rejects_small_r_max():
@@ -568,6 +600,38 @@ def test_campaign_raises_with_reproducer(monkeypatch):
     with pytest.raises(verify.TheoremViolation, match="n=12, r=7, b=5, seed=1000003,") as info:
         randomized_theorem_campaign(5, master_seed=1)
     assert info.value.graph_text == serialize_edge_list(random_regular(12, 7, seed=1000003))
+
+
+def _list_drawn_trial(master_seed, index, n_lo, n_hi, r_lo, r_hi, b_policy):
+    """A trial's (n, r, b) as the campaign drew them when it listed every
+    admissible n, the oracle for its draw from a range."""
+    rng = random.Random(_trial_seed(master_seed, index))
+    r = rng.randrange(r_lo, r_hi + 1)
+    if b_policy == "random":
+        b = rng.choice(range(1, r, 2))
+    else:
+        b = 1 if b_policy == "unit" else r - 1 if (r - 1) % 2 == 1 else r - 2
+    n = rng.choice([n for n in range(n_lo, n_hi + 1) if n % 2 == 0 and n > r])
+    return n, r, b
+
+
+@pytest.mark.parametrize(
+    "n_range, r_range, policy",
+    [
+        ((8, 20), (3, 7), "random"),
+        ((7, 21), (3, 7), "random"),
+        ((5, 9), (3, 7), "unit"),
+        ((-3, 12), (3, 11), "max"),
+        ((12, 31), (5, 8), "random"),
+        ((4, 5), (3, 3), "unit"),
+    ],
+)
+def test_campaign_n_draw_matches_the_list_draw(n_range, r_range, policy):
+    for index in range(25):
+        spec = (11, index, *n_range, *r_range, policy)
+        g, b, seed = verify._campaign_graph(spec)
+        assert (g.n, g.regular_degree(), b) == _list_drawn_trial(*spec), spec
+        assert seed == _trial_seed(11, index)
 
 
 def test_campaign_reproducible():
