@@ -4,7 +4,8 @@ Subcommands: construct, spectrum, threshold, check, find-factor, and the
 verify family (sharpness, case2, sweep, campaign). Results go to stdout,
 diagnostics to stderr. Exit codes: 0 success/holds/found, 3 no factor or
 criterion violated, 2 usage or input error, 4 theorem contradiction
-(including the two factor deciders disagreeing on a graph).
+(including a rejected factor certificate and the two factor deciders
+disagreeing on a graph).
 
 Graphs enter as edge-list files ('-' for stdin) or as inline construction
 specs: K5, C7, E4, M6 (matching complement), H:r=5,b=1 (extremal graph).
@@ -259,8 +260,8 @@ def _cmd_find_factor(args) -> int:
 def _decide(g: Graph, b: int, max_n: int, found) -> int:
     """Print found(certificate) for a verified factor; with none, the
     smallest Amahashi witness when g has at most max_n vertices, else
-    {"kind": "none"}. A graph with neither a factor nor a witness makes the
-    two deciders contradict each other: stderr says so, stdout stays empty."""
+    {"kind": "none"}. A rejected certificate, or neither a factor nor a
+    witness, is a contradiction: stderr says so, stdout stays empty."""
     cert = find_odd_factor(g, b)
     if cert is not None:
         checked = verify_certificate(g, b, cert)
@@ -268,6 +269,7 @@ def _decide(g: Graph, b: int, max_n: int, found) -> int:
             sys.stdout.write(json.dumps(found(cert)) + "\n")
             return EXIT_OK
         print(f"factor certificate rejected: {checked.reason}", file=sys.stderr)
+        return EXIT_THEOREM
     if g.n > max_n:
         sys.stdout.write(json.dumps({"kind": "none"}) + "\n")
         return EXIT_NEGATIVE
@@ -331,24 +333,21 @@ def _cmd_verify_sweep(args) -> int:
 
     rows = bound_sweep(args.r_max)
     _emit(sweep_to_csv(rows), args.output)
-    bad_sharp = [row for row in rows if row.sharpness_ok is False]
-    below = [row for row in rows if not row.rho_ge_lwy]
+    # rho < lwy exactly when eta = 0, for every r: proved in
+    # tests/test_thresholds.py::test_rho_beats_lwy_for_every_r
+    below = [row for row in rows if row.eta == 0]
     if below:
         pairs = ", ".join(f"({row.r},{row.b})" for row in below[:8])
         more = "" if len(below) <= 8 else f" and {len(below) - 8} more"
+        print(f"note: rho < lwy on {len(below)} rows (all eta=0): {pairs}{more}", file=sys.stderr)
+    bad_sharp = [row for row in rows if row.sharpness_ok is False]
+    for row in bad_sharp:
         print(
-            f"note: rho < lwy on {len(below)} rows (all eta=0): {pairs}{more}",
+            f"sharpness violated at (r={row.r}, b={row.b}): "
+            f"lambda1={row.lambda1_H!r}, rho={row.rho!r}",
             file=sys.stderr,
         )
-    if bad_sharp:
-        for row in bad_sharp:
-            print(
-                f"sharpness violated at (r={row.r}, b={row.b}): "
-                f"lambda1={row.lambda1_H!r}, rho={row.rho!r}",
-                file=sys.stderr,
-            )
-        return EXIT_THEOREM
-    return EXIT_OK
+    return EXIT_THEOREM if bad_sharp else EXIT_OK
 
 
 def _cmd_verify_campaign(args) -> int:

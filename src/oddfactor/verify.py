@@ -7,18 +7,20 @@ minimal-component quotient polynomial is nonpositive at rho(r, b) across its
 whole parameter range; and the threshold compares against the earlier bounds
 over a full (r, b) sweep.
 
-The sweep works per (r, eta) class: rho, the Lu-Wu-Yang bound and lambda_1
-of the extremal component are computed once per class and shared by its
-rows, and the CSV formats each class's bounds once. It takes lambda_1 from the
-integer quotient of the component's degree-class partition, which thresholds
-reads off the missing-pair set and certifies by two integer equalities, so it
-eigensolves nothing. Only theorem_check, the campaign and sharpness_check
-eigensolve, all through spectral.spectra; they import spectral, and with it
-numpy, when they run, so the sweep and the quotient-polynomial check start
-without numpy. The campaign checks its trials in blocks of 64, with one
-stacked eigensolve per vertex count in each block, and hands whole blocks to
-a process pool when it has more than one block and more than one job;
-theorem_check is the one-graph case of that block check.
+The sweep works per (r, eta) class: rho, the Lu-Wu-Yang bound and lambda_1 of
+the extremal component are computed once per class and shared by its rows, and
+the CSV formats each class's bounds once. It takes lambda_1 from the integer
+quotient of the component's degree-class partition, which thresholds reads off
+the missing-pair set and certifies by two integer equalities, so a row's
+sharpness is an integer check and the sweep eigensolves nothing (the tests
+prove that rho < lwy exactly on its eta = 0 rows, for every r). Only
+theorem_check, the campaign and sharpness_check eigensolve, all through
+spectral.spectra; they import spectral, and with it numpy, when they run, so
+the sweep and the quotient-polynomial check start without numpy. The campaign
+checks its trials in blocks of 64, with one stacked eigensolve per vertex
+count in each block, and hands whole blocks to a process pool when it has more
+than one block and more than one job; theorem_check is the one-graph case of
+that block check.
 """
 
 from __future__ import annotations
@@ -57,9 +59,9 @@ __all__ = [
     "randomized_theorem_campaign",
 ]
 
-# float comparisons sit on the conservative side of this band: the output of
-# spectral.spectra in theorem_check, the campaign and sharpness_check, and, until
-# it is decided exactly, the closed-form verdict of case2; solver error is far below it
+# float comparisons sit on the conservative side of this band, far above solver
+# error. It guards only spectral.spectra's output (theorem_check, the campaign,
+# sharpness_check) and case2's closed-form verdict; the sweep compares no floats
 GUARD = 1e-9
 
 SWEEP_CSV_HEADER = "r,b,ceil_rb,epsilon,eta,rho,lwy,cgh,bh,lambda1_H"
@@ -122,7 +124,6 @@ class SweepRow(NamedTuple):
     cgh: float
     bh: float
     lambda1_H: float | None  # None when the construction is degenerate
-    rho_ge_lwy: bool
     sharpness_ok: bool | None
 
 
@@ -362,7 +363,7 @@ def bound_sweep(r_max: int) -> list:
     component's integer quotient, which thresholds.extremal_missing returns
     with the set it has checked. Each row derives only its own ceil(r/b),
     epsilon and eta. The 1-factor bounds depend on r alone, and rho, lwy, the
-    root and both verdicts on (r, eta): the first b of each (r, eta) class
+    root and its verdict on (r, eta): the first b of each (r, eta) class
     computes them from one ThresholdParams, and the class's rows share them.
 
     A row is sharp when that root is certified, which makes it rho exactly.
@@ -387,8 +388,7 @@ def bound_sweep(r_max: int) -> list:
                     lam1, sharp = extremal_missing(p)[2][2:]
                 except DegenerateConstructionError:
                     lam1 = sharp = None
-                ge = rho >= lwy  # as floats; with eta >= 1 the gap is about 1/r^2 or more
-            rows.append(SweepRow(r, b, ceil_rb, epsilon, eta, rho, lwy, cgh, bh, lam1, ge, sharp))
+            rows.append(SweepRow(r, b, ceil_rb, epsilon, eta, rho, lwy, cgh, bh, lam1, sharp))
     return rows
 
 

@@ -450,6 +450,117 @@ def dfs_odd_factor(g: Graph, b: int, max_edges: int = DFS_MAX_EDGES):
 
 
 # ---------------------------------------------------------------------------
+# integer polynomials, for identities that hold for every r
+
+
+POLY_VARS = ("r", "eta", "t", "rho")
+
+
+class Poly:
+    """An integer polynomial in POLY_VARS, kept as a dict from exponent
+    tuples to nonzero coefficients. Enough exact arithmetic to clear
+    denominators, differentiate, substitute and read coefficients off, so
+    that a test can prove a closed-form inequality for every r."""
+
+    def __init__(self, terms=()):
+        self.terms = {k: c for k, c in dict(terms).items() if c}
+
+    @staticmethod
+    def var(name: str) -> "Poly":
+        i = POLY_VARS.index(name)
+        return Poly({tuple(int(j == i) for j in range(len(POLY_VARS))): 1})
+
+    @staticmethod
+    def lift(x) -> "Poly":
+        return x if isinstance(x, Poly) else Poly({(0,) * len(POLY_VARS): x})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in Poly.lift(other).terms.items():
+            out[k] = out.get(k, 0) + c
+        return Poly(out)
+
+    def __mul__(self, other):
+        out = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in Poly.lift(other).terms.items():
+                k = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
+                out[k] = out.get(k, 0) + c1 * c2
+        return Poly(out)
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -Poly.lift(other)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        out = Poly.lift(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        return self.terms == Poly.lift(other).terms
+
+    def __repr__(self):
+        return f"Poly({self.terms})"
+
+    def diff(self, name: str) -> "Poly":
+        """The partial derivative in the variable `name`."""
+        i = POLY_VARS.index(name)
+        return Poly(
+            {k[:i] + (k[i] - 1,) + k[i + 1 :]: c * k[i] for k, c in self.terms.items() if k[i]}
+        )
+
+    def subs(self, **values) -> "Poly":
+        """Each named variable replaced by the polynomial or integer given."""
+        out = Poly()
+        for k, c in self.terms.items():
+            term = Poly({tuple(0 if v in values else e for v, e in zip(POLY_VARS, k)): c})
+            for v, e in zip(POLY_VARS, k):
+                if v in values:
+                    term = term * Poly.lift(values[v]) ** e
+            out = out + term
+        return out
+
+    def value(self, **point):
+        """The polynomial at a point that names every variable it uses."""
+        return sum(
+            c * math.prod(point[v] ** e for v, e in zip(POLY_VARS, k) if e)
+            for k, c in self.terms.items()
+        )
+
+    def coeffs(self, name: str) -> list:
+        """Coefficients of a polynomial in `name` alone, highest power first."""
+        i = POLY_VARS.index(name)
+        assert all(e == 0 for k in self.terms for j, e in enumerate(k) if j != i), self
+        by_power = {k[i]: c for k, c in self.terms.items()}
+        return [by_power.get(d, 0) for d in range(max(by_power, default=0), -1, -1)]
+
+    def reduce(self, name: str, square: "Poly") -> "Poly":
+        """The remainder modulo name**2 - square: every name**2 is replaced by
+        square until no power of name above the first is left."""
+        i = POLY_VARS.index(name)
+        out = self
+        while any(k[i] >= 2 for k in out.terms):
+            nxt = Poly()
+            for k, c in out.terms.items():
+                if k[i] >= 2:
+                    nxt = nxt + Poly({k[:i] + (k[i] - 2,) + k[i + 1 :]: c}) * square
+                else:
+                    nxt = nxt + Poly({k: c})
+            out = nxt
+        return out
+
+
+R, ETA, T, RHO = map(Poly.var, POLY_VARS)
+
+
+# ---------------------------------------------------------------------------
 # the sweep table
 
 

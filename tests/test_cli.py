@@ -312,14 +312,25 @@ def test_decider_contradiction_is_reported(capsys, monkeypatch):
 
 
 def test_find_factor_rejects_bogus_certificate(capsys, monkeypatch):
-    # a factor decider whose certificate uses edges C6 does not have
-    bogus = FactorCertificate(edges=((0, 3), (1, 4), (2, 5)), degrees=(1,) * 6)
-    monkeypatch.setattr("oddfactor.cli.find_odd_factor", lambda g, b: bogus)
-    code, out, err = run(capsys, "find-factor", "C6", "--b", "1")
-    assert code == 4
-    assert out == ""
-    assert "factor certificate rejected" in err
-    assert "deciders disagree" in err
+    # a factor decider whose certificate pairs i with i + n/2, chords the
+    # cycle does not have; a rejected certificate is a contradiction at every
+    # order, above the subset search's max_n too, and no subset is searched
+    def bogus(g, b):
+        chords = tuple((i, i + g.n // 2) for i in range(g.n // 2))
+        return FactorCertificate(edges=chords, degrees=(1,) * g.n)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the subset search ran")
+
+    monkeypatch.setattr("oddfactor.cli.find_odd_factor", bogus)
+    monkeypatch.setattr("oddfactor.cli.check_amahashi", no_search)
+    for spec in ("C6", "C30"):
+        for command in ("find-factor", "check"):
+            code, out, err = run(capsys, command, spec, "--b", "1")
+            assert code == 4, (spec, command)
+            assert out == ""
+            assert err.startswith("factor certificate rejected: "), err
+            assert err.count("\n") == 1
 
 
 def test_benchmark_argument_shapes(capsys, monkeypatch):
@@ -504,6 +515,10 @@ def test_verify_sweep_stdout_is_pinned(capsys):
     assert code == 0 and out.count("\n") == 1 + 9999
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "503caeba32f8c71b4d52fe4533aeec1ea8ca58225582f668e429bba9880622eb"
+    assert err == (
+        "note: rho < lwy on 2549 rows (all eta=0): "
+        "(4,3), (6,3), (6,5), (8,5), (8,7), (10,5), (10,7), (10,9) and 2541 more\n"
+    )
 
 
 def test_verify_sweep_to_file(capsys, tmp_path):

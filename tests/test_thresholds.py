@@ -15,6 +15,9 @@ from oddfactor.thresholds import (
 )
 from oddfactor.verify import bound_sweep
 from conftest import (
+    ETA,
+    R,
+    T,
     block_quotient,
     complement,
     extremal_partition,
@@ -320,3 +323,72 @@ def test_known_quotient_matrix_shape():
     # even case: [[r-eta, eta], [r+1-eta, eta-2]]
     p = threshold_params(4, 1)
     assert block_quotient(build_extremal(p), extremal_partition(p))[1] == [[2.0, 2.0], [3.0, 0.0]]
+
+
+# ---------------------------------------------------------------------------
+# rho > lwy for every r, in integer polynomials
+
+
+def _lwy_polynomials(x: int) -> tuple:
+    """(s, D, den, W, Q) for the r of parity x, in (r, eta): rho is
+    (s + sqrt(D))/2, den clears the denominators of lwy_threshold,
+    W = den*(2*lwy - s) and Q = den^2*D - W^2."""
+    s = R - 2 - x
+    D = (R + 2 + x) ** 2 - 4 * ETA
+    if x == 0:
+        den = (R + 1) * (R + 2)
+        W = den * (2 * R - s) - 2 * ETA * (R + 2) + 2
+    else:
+        den = (R + 1) * (R + 2) ** 2
+        W = den * (2 * R - s) - 2 * ETA * (R + 2) ** 2 + 2 * (R + 1)
+    return s, D, den, W, den**2 * D - W**2
+
+
+def test_rho_beats_lwy_for_every_r():
+    """rho > lwy whenever eta >= 1 and rho = r < lwy when eta = 0, for every r.
+
+    eta = ceil(r/b) - epsilon has the parity of r and is at most r - 2,
+    since ceil(r/b) <= r and epsilon = 2 when ceil(r/b) = r. So eta >= 1
+    ranges over [2, r - 2] for even r >= 4 and over [1, r - 2] for odd
+    r >= 3. Since den > 0 and 2*rho - s = sqrt(D), rho > lwy iff
+    den*sqrt(D) > W, which Q > 0 implies. Q is concave in eta, so on the
+    range it is at least its value at one of the two ends; there, with
+    r = r0 + t, Q has nonnegative coefficients in t and a positive
+    constant, so it is positive for every t >= 0. W, linear in eta, is
+    positive the same way, so the comparison is never decided by its sign.
+    """
+    # the polynomials are the formulas the library runs
+    for r in range(3, 201):
+        s, D, den, W, _ = _lwy_polynomials(r % 2)
+        for b in range(1, r, 2):
+            p = threshold_params(r, b)
+            at = {"r": r, "eta": p.eta}
+            assert (s.value(**at) + math.sqrt(D.value(**at))) / 2 == p.rho, (r, b)
+            got = W.value(**at) / den.value(r=r)
+            assert abs(got - (2 * lwy_threshold(p) - s.value(r=r))) <= 1e-12, (r, b)
+    cases = (
+        # x, r0, lowest eta >= 1, Q at both ends, W at both ends (in t)
+        (0, 4, 2, [4, 52, 208, 236], [8, 108, 400, 236], [1, 17, 92, 158], [1, 15, 80, 158]),
+        (
+            1,
+            3,
+            1,
+            [4, 92, 852, 3964, 9248, 8636],
+            [4, 108, 1180, 6564, 18984, 25048, 8636],
+            [1, 20, 147, 472, 558],
+            [1, 18, 127, 422, 558],
+        ),
+    )
+    for x, r0, lo, q_lo, q_hi, w_lo, w_hi in cases:
+        s, D, den, W, Q = _lwy_polynomials(x)
+        assert Q.diff("eta").diff("eta") == -8 * (R + 2) ** (2 + 2 * x)
+        for eta, q_want, w_want in ((lo, q_lo, w_lo), (R - 2, q_hi, w_hi)):
+            for poly, want in ((Q, q_want), (W, w_want)):
+                got = poly.subs(eta=eta).subs(r=r0 + T).coeffs("t")
+                assert got == want, (x, eta, got)
+                assert min(got) >= 0 and got[-1] > 0
+    # eta = 0 (even r only): sqrt(D) = r + 2, so rho = r, and
+    # 2*lwy - s - sqrt(D) = 2/den > 0, so lwy = r + 1/den
+    s, D, den, W, _ = _lwy_polynomials(0)
+    assert D.subs(eta=0) == (R + 2) ** 2
+    assert W.subs(eta=0) - den * (R + 2) == 2

@@ -42,6 +42,10 @@ from oddfactor.verify import (
     theorem_check,
 )
 from conftest import (
+    ETA,
+    R,
+    RHO,
+    T,
     block_quotient,
     check_invariants,
     components,
@@ -409,6 +413,43 @@ def test_case2_rejects_even_r():
         case2_polynomial_check(4, 1)
 
 
+def test_case2_holds_for_every_odd_r():
+    """What case2_polynomial_check checks, proved for every odd r in integer
+    polynomials.
+
+    With a = r + 2 - eta, m12 = a*eta - t, s = r - 3 and D = (r + 3)^2 -
+    4*eta, rho = (s + sqrt(D))/2 is a root of rho^2 = s*rho + (D - s^2)/4,
+    that is, rho^2 = (r - 3)*rho + (3r - eta). Modulo that relation, a*eta
+    times the direct quotient polynomial equals a*eta times its factored
+    form -t(r+2)/(a*eta) * (rho + eta/(r+2) - r). The bracket's sign:
+    2(r+2) times it is (r+2)*sqrt(D) - L with L = (r+2)(r+3) - 2*eta, and
+    (r+2)^2*D - L^2 = 4*eta*(r + 2 - eta) >= 0, so rho >= r - eta/(r+2)
+    and the polynomial is at most 0 for every t in [0, a].
+    """
+    a = R + 2 - ETA
+    m12 = a * ETA - T
+    s = R - 3
+    D = (R + 3) ** 2 - 4 * ETA
+    assert D - s**2 == 4 * (3 * R - ETA)
+    direct = (a * RHO - a * R + m12) * (ETA * RHO - ETA * (R - 1) + m12) - m12**2
+    bracket = (R + 2) * RHO + ETA - R * (R + 2)
+    factored = -T * bracket
+    assert (direct - factored).reduce("rho", s * RHO + 3 * R - ETA) == 0
+    L = (R + 2) * (R + 3) - 2 * ETA
+    assert 2 * bracket == (R + 2) * (2 * RHO - s) - L
+    assert (R + 2) ** 2 * D - L**2 == 4 * ETA * (R + 2 - ETA)
+    # the polynomials are the formulas case2_polynomial_check evaluates
+    for r in range(3, 60, 2):
+        for b in range(1, r, 2):
+            p = threshold_params(r, b)
+            at = {"r": r, "eta": p.eta, "rho": p.rho}
+            assert abs(p.rho**2 - (s * RHO + 3 * R - ETA).value(**at)) <= 1e-9
+            t_max = r + 2 - p.eta
+            top = max(direct.value(t=t, **at) for t in range(t_max + 1)) / (t_max * p.eta)
+            rep = case2_polynomial_check(r, b)
+            assert rep.t_max == t_max and abs(rep.max_q_at_rho - top) <= 1e-9, (r, b)
+
+
 # ---------------------------------------------------------------------------
 # the sweep
 
@@ -437,14 +478,15 @@ def test_bound_sweep_rows():
 
 
 def test_bound_sweep_lwy_comparison_structure():
-    # rho >= lwy wherever eta >= 1; the eta = 0 rows fall short by exactly
-    # the additive correction in the older bound
+    # rho > lwy wherever eta >= 1; the eta = 0 rows fall short by exactly
+    # the additive correction in the older bound (test_thresholds.py proves
+    # both for every r)
     rows = bound_sweep(20)
     for row in rows:
         if row.eta >= 1:
-            assert row.rho_ge_lwy, (row.r, row.b)
+            assert row.rho > row.lwy, (row.r, row.b)
         else:
-            assert not row.rho_ge_lwy
+            assert row.rho < row.lwy
             assert abs((row.lwy - row.rho) - 1 / ((row.r + 1) * (row.r + 2))) < 1e-12
 
 
@@ -518,7 +560,6 @@ def test_bound_sweep_rows_match_a_per_pair_oracle():
                     cgh=cgh,
                     bh=bh,
                     lambda1_H=lam1,
-                    rho_ge_lwy=p.rho >= lwy,
                     sharpness_ok=sharp,
                 )
             )
@@ -528,7 +569,7 @@ def test_bound_sweep_rows_match_a_per_pair_oracle():
         [type(x) for x in w.values()] for w in want
     ]
     assert sum(w["lambda1_H"] is None for w in want) == 290
-    assert sum(not w["rho_ge_lwy"] for w in want) == sum(w["eta"] == 0 for w in want) == 239
+    assert sum(w["rho"] < w["lwy"] for w in want) == sum(w["eta"] == 0 for w in want) == 239
 
 
 RECORDS = [
@@ -542,7 +583,7 @@ RECORDS = [
         lambda: bound_sweep(4)[1],
         (
             "r", "b", "ceil_rb", "epsilon", "eta", "rho", "lwy", "cgh", "bh",
-            "lambda1_H", "rho_ge_lwy", "sharpness_ok",
+            "lambda1_H", "sharpness_ok",
         ),
     ),
 ]
