@@ -32,6 +32,7 @@ from .factor import (
 from .graphs import (
     Graph,
     GraphError,
+    _check_order,
     _plain,
     complete_graph,
     cycle_graph,
@@ -63,7 +64,7 @@ def parse_construction(text: str) -> Graph:
     """Inline graph mini-spec: K5, C7, E4, M6, or H:r=5,b=1."""
     m = _CONSTRUCT_RE.match(text)
     if m:
-        return _BUILDERS[m.group(1)](int(m.group(2)))
+        return _BUILDERS[m.group(1)](_check_order(int(m.group(2))))
     m = _H_RE.match(text)
     if m:
         return build_extremal(threshold_params(int(m.group(1)), int(m.group(2))))
@@ -115,15 +116,18 @@ def _int(text: str) -> int:
 
 
 def _digits(text: str) -> int:
-    """argparse type of every --digits flag: a non-negative int."""
+    """argparse type of every --digits flag: an int in 0..DIGITS_MAX."""
     value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    if value > DIGITS_MAX:
+        raise argparse.ArgumentTypeError(f"must be at most {DIGITS_MAX}, got {value}")
     return value
 
 
 # a size check on find-factor's input; the decider itself is polynomial
 DEFAULT_MAX_EDGES = 64
+DIGITS_MAX = 17  # 17 significant digits tell any two doubles apart
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,12 +1,12 @@
 """Immutable simple undirected graphs on vertices 0..n-1.
 
 Everything downstream (spectra, thresholds, factor search) consumes this
-representation: a sorted tuple of (u, v) edges with u < v, and sorted
-adjacency tuples derived from it, which also answer edge queries. The
-builders here (complete, cycle and empty graphs, and K_k minus a set of
-pairs) and the edge-list parser each return a new value; nothing mutates
-a graph after __init__. Graph algebra such as complements, joins and
-vertex deletion lives in the tests, where it serves as an oracle.
+representation, the one layout of every graph: a sorted tuple of (u, v)
+edges with u < v, and one sorted adjacency tuple per vertex, built from it,
+which also answers edge queries. The builders here and the edge-list parser
+each return a new value; nothing mutates a graph after __init__. Graph
+algebra such as complements, joins and vertex deletion lives in the tests,
+where it serves as an oracle.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from itertools import combinations
 from typing import Iterable
 
 __all__ = [
+    "ORDER_MAX",
     "Graph",
     "GraphError",
     "MalformedHeaderError",
@@ -57,6 +58,18 @@ class SelfLoopError(GraphError):
 
 class DuplicateEdgeError(GraphError):
     pass
+
+
+# the largest order a header or CLI argument may name. Extremal components have
+# r + 1 or r + 2 vertices and no test, CI or benchmark order exceeds 2000, while
+# K_2048 already costs about 1.5 s and 400 MB; library calls take any order
+ORDER_MAX = 2048
+
+
+def _check_order(n: int) -> int:
+    if n > ORDER_MAX:
+        raise VertexRangeError(f"order {n} exceeds the cap ORDER_MAX = {ORDER_MAX}")
+    return n
 
 
 class Graph:
@@ -102,17 +115,6 @@ class Graph:
         self.n = n
         self.edges = tuple(edges)
         # sorted edges with u < v reach each list in ascending order already
-        if n > 2 * len(self.edges):
-            # some vertex is isolated: build lists only for vertices with edges
-            touched: dict = {}
-            for u, v in self.edges:
-                touched.setdefault(u, []).append(v)
-                touched.setdefault(v, []).append(u)
-            adj = [()] * n
-            for v, ns in touched.items():
-                adj[v] = tuple(ns)
-            self.adj = tuple(adj)
-            return
         lists = [[] for _ in range(n)]
         for u, v in self.edges:
             lists[u].append(v)
@@ -232,6 +234,7 @@ def parse_edge_list(text: str) -> Graph:
         raise MalformedHeaderError(f"header must be two integers, got {lines[0]!r}") from None
     if n < 0 or m < 0:
         raise MalformedHeaderError(f"header values must be nonnegative, got {lines[0]!r}")
+    _check_order(n)
     body = lines[1:]
     if len(body) != m:
         raise MalformedEdgeError(f"expected {m} edge lines, found {len(body)}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .graphs import Graph, complete_minus
+from .graphs import Graph, _check_order, complete_minus
 
 __all__ = [
     "R_MAX",
@@ -132,6 +132,7 @@ def extremal_missing(p: ThresholdParams) -> tuple:
     needs at least three vertices.
     """
     r, eta = p.r, p.eta
+    order = _check_order(r + 1 + p.parity_offset)
     if r % 2 == 0:
         # K_{r+1} minus a perfect matching on its last eta vertices
         missing = [(i, i + 1) for i in range(r + 1 - eta, r + 1, 2)]
@@ -143,7 +144,6 @@ def extremal_missing(p: ThresholdParams) -> tuple:
         # K_{r+2} minus a cycle on 0..eta-1 and a perfect matching on the rest
         missing = [(i, i + 1) for i in range(eta - 1)] + [(0, eta - 1)]
         missing += [(i, i + 1) for i in range(eta, r + 2, 2)]
-    order = r + 1 + p.parity_offset
     return order, tuple(missing), _missing_quotient(p, order, missing)
 
 

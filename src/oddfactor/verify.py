@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .factor import find_odd_factor
-from .graphs import Graph, complete_minus, is_connected, serialize_edge_list
+from .graphs import Graph, _check_order, complete_minus, is_connected, serialize_edge_list
 from .thresholds import (
     DegenerateConstructionError,
     _eta_terms,
@@ -331,6 +331,7 @@ def case2_polynomial_check(r: int, b: int) -> Case2Report:
     if r % 2 == 0:
         raise ValueError(f"this check applies to odd r only, got {r}")
     p = threshold_params(r, b)
+    _check_order(r + 2)
     eta = p.eta
     a = r + 2 - eta
     rho = p.rho
@@ -369,10 +370,12 @@ def bound_sweep(r_max: int) -> list:
     A row is sharp when that root is certified, which makes it rho exactly.
     lambda1_H stays None on degenerate constructions (odd r, eta < 3). Each
     row records its own validation outcomes instead of raising, so a single
-    offending pair cannot take down the rest of the sweep.
+    offending pair cannot take down the rest of the sweep. An r_max whose
+    largest component (order r_max + 1 + r_max % 2) exceeds ORDER_MAX is refused.
     """
     if r_max < 3:
         raise ValueError(f"r_max must be at least 3, got {r_max}")
+    _check_order(r_max + 1 + r_max % 2)
     rows = []
     for r in range(3, r_max + 1):
         bh, cgh = prior_1factor_thresholds(r)
@@ -460,8 +463,8 @@ def randomized_theorem_campaign(
     Each trial derives its parameters and generator seed from (master_seed,
     index), so the outcome is reproducible and independent of worker count.
     The arguments are checked before any trial runs: r_range must be
-    non-empty with r >= 3, n_range must hold an even n above the largest r,
-    and b_policy must be "random", "unit" or "max".
+    non-empty with r >= 3, n_range must hold an even n above the largest r
+    and none above ORDER_MAX, and b_policy must be "random", "unit" or "max".
     Any applicable trial without a factor aborts with a TheoremViolation
     carrying a full reproducer.
     """
@@ -473,7 +476,7 @@ def randomized_theorem_campaign(
         raise ValueError(f"r range must start at 3 or above, got {r_lo}")
     if r_lo > r_hi:
         raise ValueError(f"r range is empty: r_min {r_lo} exceeds r_max {r_hi}")
-    top_n = n_hi - n_hi % 2
+    top_n = _check_order(n_hi - n_hi % 2)
     if top_n < n_lo or top_n <= r_hi:
         # checked against r_max so that every r the trials may draw fits
         raise ValueError(f"no even n in [{n_lo}, {n_hi}] exceeds r_max {r_hi}")

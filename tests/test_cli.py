@@ -443,6 +443,94 @@ def test_negative_digits_and_trials_exit_2(capsys):
         assert "non-negative" in err
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("an order above ORDER_MAX reached an allocating callee")
+
+
+# each argv names an order just above graphs.ORDER_MAX = 2048; the patched
+# callees would allocate at that order, so a pass shows the refusal comes first
+_ABOVE_THE_CAP = [
+    *[
+        (("construct", f"{kind}2049"), None, ["oddfactor.cli._BUILDERS"], 2049)
+        for kind in "KCEM"
+    ],
+    *[
+        ((command, "-", *flags), "2049 0\n", ["oddfactor.graphs.Graph._canonical"], 2049)
+        for command, flags in (
+            ("spectrum", ()),
+            ("find-factor", ("--b", "1")),
+            ("check", ("--b", "1")),
+        )
+    ],
+    (
+        ("construct", "H:r=2047,b=1"),
+        None,
+        ["oddfactor.thresholds.complete_minus", "oddfactor.thresholds._missing_quotient"],
+        2049,
+    ),
+    (
+        ("verify", "sharpness", "--r", "2047", "--b", "1"),
+        None,
+        ["oddfactor.verify.complete_minus", "oddfactor.thresholds._missing_quotient"],
+        2049,
+    ),
+    (
+        ("verify", "sweep", "--r-max", "2047"),
+        None,
+        ["oddfactor.verify.prior_1factor_thresholds", "oddfactor.verify.extremal_missing"],
+        2049,
+    ),
+    # case2 allocates nothing of that size; its loop runs about r times
+    (("verify", "case2", "--r", "2047", "--b", "1"), None, [], 2049),
+    (
+        ("verify", "campaign", "--trials", "1", "--n-max", "2050"),
+        None,
+        ["oddfactor.verify.random_regular"],
+        2050,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, callees, order", _ABOVE_THE_CAP, ids=[" ".join(c[0]) for c in _ABOVE_THE_CAP]
+)
+def test_orders_above_the_cap_are_refused_first(capsys, monkeypatch, argv, stdin, callees, order):
+    import io
+
+    for callee in callees:
+        stub = {k: _must_not_run for k in "KCEM"} if callee.endswith("_BUILDERS") else _must_not_run
+        monkeypatch.setattr(callee, stub)
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: order {order} exceeds the cap ORDER_MAX = 2048\n"
+
+
+def test_orders_at_the_cap_are_accepted(capsys):
+    # E2048 is the one spec at the cap that stays cheap: no edges, no eigensolve
+    code, out, err = run(capsys, "construct", "E2048")
+    assert (code, out, err) == (0, "2048 0\n", "")
+
+
+_DIGITS_COMMANDS = [
+    ("spectrum", "K3"),
+    ("threshold", "--r", "4", "--b", "1"),
+    ("verify", "sharpness", "--r", "4", "--b", "1"),
+    ("verify", "case2", "--r", "5", "--b", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", _DIGITS_COMMANDS, ids=" ".join)
+def test_digits_above_17_are_refused(capsys, argv):
+    # the text formats print f"{v:.{d}f}", a string of d characters per value
+    code, out, err = run(capsys, *argv, "--digits", "18")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith("error: argument --digits: must be at most 17, got 18")
+    code, out, err = run(capsys, *argv, "--digits", "17")
+    assert code == 0 and err == "" and out
+
+
 def test_usage_errors(capsys):
     code, out, err = run(capsys, "no-such-command")
     assert code == 2

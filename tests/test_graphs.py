@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddfactor.cli import parse_construction
+import oddfactor.graphs
 from oddfactor.graphs import (
+    ORDER_MAX,
     DuplicateEdgeError,
     Graph,
     GraphError,
@@ -108,9 +110,32 @@ def test_unchecked_builders_match_checked_constructor(build):
     assert g.adj == checked.adj
 
 
+def test_parse_refuses_header_orders_above_the_cap(monkeypatch):
+    assert ORDER_MAX == 2048 and "ORDER_MAX" in oddfactor.graphs.__all__
+    g = parse_edge_list("2048 0\n")
+    assert (g.n, g.edges, g.adj) == (2048, (), ((),) * 2048)
+
+    def must_not_run(*args):
+        raise AssertionError("a header above ORDER_MAX reached the graph builder")
+
+    # the refusal comes before any table or graph of that order is built
+    monkeypatch.setattr(Graph, "_canonical", must_not_run)
+    for text in ("2049 0\n", "2049 1\n0 1\n", "2049 1\n0 01\n", "2000000000000 0\n"):
+        order = int(text.split()[0])
+        message = f"^order {order} exceeds the cap ORDER_MAX = 2048$"
+        with pytest.raises(VertexRangeError, match=message):
+            parse_edge_list(text)
+
+
+def test_library_calls_take_any_order():
+    # the cap bounds what arrives from outside; code may build larger graphs
+    assert Graph(ORDER_MAX + 1, [(0, ORDER_MAX)]).adj[ORDER_MAX] == (0,)
+    assert empty_graph(ORDER_MAX + 1).n == ORDER_MAX + 1
+
+
 def test_adj_matches_oracle_with_isolated_vertices():
-    # more than 2m vertices leaves some isolated, which Graph._fill treats on
-    # its own; both sides of that line are compared, through every builder
+    # more than 2m vertices leaves some isolated; every graph has one adjacency
+    # layout, checked on both sides of that line and through every builder
     rng = random.Random(29)
     sides = set()
     for _ in range(300):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from oddfactor.graphs import complete_graph, cycle_graph, matching_complement
+from oddfactor.graphs import VertexRangeError, complete_graph, cycle_graph, matching_complement
 from oddfactor.thresholds import (
     DegenerateConstructionError,
     R_MAX,
@@ -125,6 +125,25 @@ def test_degree_cap_is_checked_everywhere_r_is():
         threshold_params(R_MAX + 1, 1)
     with pytest.raises(ValueError, match=message):
         prior_1factor_thresholds(R_MAX + 1)
+
+
+def test_extremal_order_cap(monkeypatch):
+    # r + 1 + (r mod 2) vertices: 2047 at r = 2045 and 2046, 2049 at r = 2047
+    for r in (2045, 2046):
+        order, missing, quotient = extremal_missing(threshold_params(r, 1))
+        assert order == 2047 and quotient[3]
+    # refused with the order message even where the construction would be
+    # degenerate (r = 2047, b = 2045 gives eta = 1)
+    for b in (1, 2045):
+        with pytest.raises(VertexRangeError, match="^order 2049 exceeds the cap"):
+            extremal_missing(threshold_params(2047, b))
+
+    def must_not_run(*args):
+        raise AssertionError("an order above ORDER_MAX reached complete_minus")
+
+    monkeypatch.setattr("oddfactor.thresholds.complete_minus", must_not_run)
+    with pytest.raises(VertexRangeError, match="^order 2049 exceeds the cap"):
+        build_extremal(threshold_params(2048, 1))
 
 
 def test_prior_1factor_thresholds():

@@ -12,6 +12,7 @@ from oddfactor.cli import main
 from oddfactor.factor import check_amahashi
 from oddfactor.graphs import (
     Graph,
+    VertexRangeError,
     complete_graph,
     complete_minus,
     cycle_graph,
@@ -775,6 +776,34 @@ def test_campaign_rejects_bad_ranges():
     for trials in (0, 2):
         with pytest.raises(ValueError, match="unknown b_policy 'bogus'"):
             randomized_theorem_campaign(trials, b_policy="bogus")
+
+
+class _Started(Exception):
+    pass
+
+
+def _started(*args, **kwargs):
+    raise _Started
+
+
+def test_order_cap_in_the_verify_checks(monkeypatch):
+    # each check refuses an order above ORDER_MAX = 2048 before its work
+    # starts, and starts it at the cap: the sweep's largest component at
+    # r_max 2046 has 2047 vertices, at 2047 it has 2049
+    monkeypatch.setattr(verify, "prior_1factor_thresholds", _started)
+    with pytest.raises(_Started):
+        bound_sweep(2046)
+    with pytest.raises(VertexRangeError, match="^order 2049 exceeds the cap ORDER_MAX = 2048$"):
+        bound_sweep(2047)
+    assert case2_polynomial_check(2045, 1).passed
+    with pytest.raises(VertexRangeError, match="^order 2049 exceeds the cap"):
+        case2_polynomial_check(2047, 1)
+    monkeypatch.setattr(verify, "random_regular", _started)
+    with pytest.raises(_Started):
+        randomized_theorem_campaign(1, n_range=(2048, 2049))
+    for trials in (1, 0):
+        with pytest.raises(VertexRangeError, match="^order 2050 exceeds the cap"):
+            randomized_theorem_campaign(trials, n_range=(8, 2050))
 
 
 @pytest.mark.parametrize("jobs", [0, -2])
