@@ -215,12 +215,13 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    from .spectral import spectra
-
     g = _read_graph(args.input)
     if g.n == 0:
         print("spectrum of the empty graph on 0 vertices is undefined", file=sys.stderr)
         return EXIT_USAGE
+    # imported only now, so that a refused input never loads numpy
+    from .spectral import spectra
+
     spec = spectra([g])[0]
     if args.format == "json":
         _emit(_json_line({"values": list(spec)}, args.digits), args.output)
@@ -235,7 +236,7 @@ def _cmd_threshold(args) -> int:
     p = threshold_params(args.r, args.b)
     lwy = lwy_threshold(p)
     bh, cgh = prior_1factor_thresholds(args.r)
-    payload = p.to_json_dict()
+    payload = p._asdict()
     payload.update({"lwy": lwy, "cgh": cgh, "bh": bh})
     if args.format == "json":
         sys.stdout.write(_json_line(payload, args.digits))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph
 
@@ -38,8 +38,7 @@ __all__ = [
 DEFAULT_MAX_N = 22
 
 
-@dataclass(frozen=True)
-class FactorCertificate:
+class FactorCertificate(NamedTuple):
     """Edge subset of the host graph in which every vertex degree is odd and in [1, b]."""
 
     edges: tuple
@@ -49,8 +48,7 @@ class FactorCertificate:
         return {"kind": "factor", "edges": [list(e) for e in self.edges]}
 
 
-@dataclass(frozen=True)
-class AmahashiViolation:
+class AmahashiViolation(NamedTuple):
     """A vertex set S with more odd components in G-S than b|S| allows."""
 
     s: tuple
@@ -62,8 +60,7 @@ class AmahashiViolation:
         return {"kind": "violation", "S": list(self.s), "o": self.o, "bound": self.bound}
 
 
-@dataclass(frozen=True)
-class CertificateCheck:
+class CertificateCheck(NamedTuple):
     ok: bool
     reason: str | None = None
 

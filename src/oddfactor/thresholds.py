@@ -46,9 +46,6 @@ class ThresholdParams(NamedTuple):
     parity_offset: int  # 1 if r is odd, else 0
     rho: float
 
-    def to_json_dict(self) -> dict:
-        return self._asdict()
-
 
 def _parity(k: int) -> str:
     return "even" if k % 2 == 0 else "odd"

@@ -25,8 +25,8 @@ that block check.
 
 from __future__ import annotations
 
+import os
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .factor import find_odd_factor
@@ -75,8 +75,7 @@ class TheoremViolation(RuntimeError):
         self.graph_text = graph_text
 
 
-@dataclass(frozen=True)
-class TrialReport:
+class TrialReport(NamedTuple):
     r: int
     b: int
     n: int
@@ -87,8 +86,7 @@ class TrialReport:
     factor_found: bool | None  # None when the implication did not apply
 
 
-@dataclass(frozen=True)
-class SharpnessReport:
+class SharpnessReport(NamedTuple):
     r: int
     b: int
     eta: int
@@ -102,8 +100,7 @@ class SharpnessReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class Case2Report:
+class Case2Report(NamedTuple):
     r: int
     b: int
     eta: int
@@ -127,8 +124,7 @@ class SweepRow(NamedTuple):
     sharpness_ok: bool | None
 
 
-@dataclass(frozen=True)
-class CampaignSummary:
+class CampaignSummary(NamedTuple):
     trials: int
     applicable: int
     found: int
@@ -492,8 +488,10 @@ def randomized_theorem_campaign(
         # imported here so that a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # the pool forks all its workers at once, so it gets one per block at most
-        with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
+        # the pool forks all its workers at once, so it gets one per block and
+        # one per CPU at most; the reports do not depend on the worker count
+        workers = min(jobs, len(blocks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_campaign_block, blocks))
     else:
         done = [_campaign_block(block) for block in blocks]

@@ -416,6 +416,48 @@ print(json.dumps(seen))
     assert json.loads(out.splitlines()[-1]) == [[], [], ["concurrent", "multiprocessing"]]
 
 
+def test_no_command_needs_dataclasses():
+    # every result record is a typing.NamedTuple, so no command loads dataclasses
+    code = """
+import sys
+sys.modules["dataclasses"] = None
+from oddfactor.cli import main
+for argv in (
+    ["find-factor", "C6", "--b", "1"],
+    ["check", "K6", "--b", "1"],
+    ["threshold", "--r", "7", "--b", "3"],
+    ["verify", "sweep", "--r-max", "10"],
+    ["verify", "case2", "--r", "7", "--b", "1"],
+    ["verify", "sharpness", "--r", "8", "--b", "3"],
+    ["verify", "campaign", "--trials", "70", "--master-seed", "3"],
+    ["spectrum", "C5"],
+    ["construct", "H:r=8,b=3"],
+):
+    assert main(argv) == 0, argv
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+
+
+def test_refused_spectrum_input_exits_2_without_numpy():
+    # the input is read and refused before spectral, and with it numpy, loads
+    code = """
+import sys
+sys.modules["numpy"] = None
+from oddfactor.cli import main
+sys.exit(main(["spectrum", "-"]))
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for text in ("2049 0\n", "0 0\n"):
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, input=text, capture_output=True, text=True
+        )
+        assert out.returncode == 2, (text, out.stderr)
+        assert out.stdout == "" and len(out.stderr.splitlines()) == 1, (text, out.stderr)
+
+
 def test_module_all_lists_exactly_its_public_definitions():
     # the perfbench tracer wraps the functions each module's __all__ names
     for layer in ("graphs", "spectral", "thresholds", "factor", "verify"):

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import math
+import os
 import random
 from pathlib import Path
 
@@ -9,7 +10,14 @@ import pytest
 
 from oddfactor import verify
 from oddfactor.cli import main
-from oddfactor.factor import check_amahashi
+from oddfactor.factor import (
+    AmahashiViolation,
+    CertificateCheck,
+    FactorCertificate,
+    check_amahashi,
+    find_odd_factor,
+    verify_certificate,
+)
 from oddfactor.graphs import (
     Graph,
     VertexRangeError,
@@ -31,7 +39,11 @@ from oddfactor.thresholds import (
 from oddfactor.verify import (
     GUARD,
     SWEEP_CSV_HEADER,
+    CampaignSummary,
+    Case2Report,
+    SharpnessReport,
     SweepRow,
+    TrialReport,
     _shuffle,
     _trial_seed,
     bound_sweep,
@@ -587,10 +599,50 @@ RECORDS = [
             "lambda1_H", "sharpness_ok",
         ),
     ),
+    (FactorCertificate, lambda: find_odd_factor(cycle_graph(6), 1), ("edges", "degrees")),
+    (
+        AmahashiViolation,
+        # the star K_{1,3}: deleting its centre leaves three odd components
+        lambda: check_amahashi(complete_minus(4, {(1, 2), (1, 3), (2, 3)}), 1),
+        ("s", "odd_components", "o", "bound"),
+    ),
+    (
+        CertificateCheck,
+        lambda: verify_certificate(cycle_graph(6), 1, find_odd_factor(cycle_graph(6), 1)),
+        ("ok", "reason"),
+    ),
+    (
+        TrialReport,
+        lambda: theorem_check(complete_graph(6), 1),
+        (
+            "r", "b", "n", "seed", "lambda3", "rho", "implication_applicable",
+            "factor_found",
+        ),
+    ),
+    (
+        SharpnessReport,
+        lambda: sharpness_check(8, 3),
+        (
+            "r", "b", "eta", "rho", "lambda1", "n_vertices", "edge_count", "equitable",
+            "quotient_top", "issues", "passed",
+        ),
+    ),
+    (
+        Case2Report,
+        lambda: case2_polynomial_check(7, 1),
+        ("r", "b", "eta", "t_max", "max_q_at_rho", "max_form_gap", "passed"),
+    ),
+    (
+        CampaignSummary,
+        lambda: randomized_theorem_campaign(2, master_seed=3),
+        ("trials", "applicable", "found", "inapplicable", "reports"),
+    ),
 ]
 
 
-@pytest.mark.parametrize("record, make, fields", RECORDS, ids=["ThresholdParams", "SweepRow"])
+@pytest.mark.parametrize(
+    "record, make, fields", RECORDS, ids=[record.__name__ for record, _, _ in RECORDS]
+)
 def test_records_are_immutable_named_tuples(record, make, fields):
     assert record._fields == fields
     made = make()
@@ -599,7 +651,11 @@ def test_records_are_immutable_named_tuples(record, make, fields):
     for f in fields:
         with pytest.raises(AttributeError):
             setattr(made, f, 0)
-    assert made._replace(r=9).r == 9 and made.r != 9
+    first = fields[0]
+    assert getattr(made._replace(**{first: 9}), first) == 9 and getattr(made, first) != 9
+    if record is CertificateCheck:
+        # a tuple of two is truthy; the check is as true as its verdict
+        assert bool(made) is True and bool(CertificateCheck(False, "x")) is False
 
 
 def test_sweep_csv_never_shares_a_tail_between_signed_zeros():
@@ -729,12 +785,18 @@ def test_campaign_pool_gets_one_worker_per_block(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     serial = randomized_theorem_campaign(200, master_seed=3, jobs=1).reports
-    # blocks of 64 trials; one block runs serially whatever --jobs says
-    cases = ((2, 64, None), (64, 2, None), (65, 2, 2), (129, 2, 2), (129, 8, 3), (200, 64, 4))
-    for trials, jobs, workers in cases:
-        pooled = randomized_theorem_campaign(trials, master_seed=3, jobs=jobs)
-        assert (sizes.pop() if sizes else None) == workers, (trials, jobs)
-        assert pooled.reports == serial[:trials]
+    # blocks of 64 trials; one block runs serially whatever --jobs says, and
+    # the pool never gets more workers than blocks or CPUs
+    cases = {
+        8: ((2, 64, None), (64, 2, None), (65, 2, 2), (129, 2, 2), (129, 8, 3), (200, 64, 4)),
+        2: ((200, 64, 2), (200, 10**6, 2)),
+    }
+    for cpus, runs in cases.items():
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        for trials, jobs, workers in runs:
+            pooled = randomized_theorem_campaign(trials, master_seed=3, jobs=jobs)
+            assert (sizes.pop() if sizes else None) == workers, (cpus, trials, jobs)
+            assert pooled.reports == serial[:trials]
     assert not sizes
 
 
