@@ -17,7 +17,7 @@ prove that rho < lwy exactly on its eta = 0 rows, for every r). Only
 theorem_check, the campaign and sharpness_check eigensolve, all through
 spectral.spectra; they import spectral, and with it numpy, when they run, so
 the sweep and the quotient-polynomial check start without numpy. The campaign
-checks its trials in blocks of 64, with one stacked eigensolve per vertex
+streams its trials in blocks of 64, with one stacked eigensolve per vertex
 count in each block, and hands whole blocks to a process pool when it has more
 than one block and more than one job; theorem_check is the one-graph case of
 that block check.
@@ -129,7 +129,6 @@ class CampaignSummary(NamedTuple):
     applicable: int
     found: int
     inapplicable: int
-    reports: tuple
 
     def to_json_dict(self) -> dict:
         return {
@@ -441,8 +440,28 @@ def _campaign_graph(args) -> tuple:
     return random_regular(n, r, seed=seed), b, seed
 
 
-def _campaign_block(specs: list) -> list:
-    return _check_block([_campaign_graph(s) for s in specs])
+def _campaign_block(block: tuple) -> list:
+    """The reports of trials start to stop - 1, one block of a campaign."""
+    master_seed, start, stop, *ranges = block
+    return _check_block([_campaign_graph((master_seed, i, *ranges)) for i in range(start, stop)])
+
+
+def _tally(trials: int, done) -> CampaignSummary:
+    """Count the reports of each block done yields, raising at the first
+    applicable trial without a factor, before the next block is read."""
+    applicable = 0
+    for reports in done:
+        for rep in reports:
+            if rep.implication_applicable and not rep.factor_found:
+                g = random_regular(rep.n, rep.r, seed=rep.seed)
+                raise TheoremViolation(
+                    f"applicable trial without factor: n={rep.n}, r={rep.r}, b={rep.b}, "
+                    f"seed={rep.seed}, lambda3={rep.lambda3!r}, rho={rep.rho!r}",
+                    graph_text=serialize_edge_list(g),
+                )
+            applicable += rep.implication_applicable
+    # every applicable trial found a factor, or the loop above raised
+    return CampaignSummary(trials, applicable, applicable, trials - applicable)
 
 
 def randomized_theorem_campaign(
@@ -458,11 +477,12 @@ def randomized_theorem_campaign(
 
     Each trial derives its parameters and generator seed from (master_seed,
     index), so the outcome is reproducible and independent of worker count.
-    The arguments are checked before any trial runs: r_range must be
-    non-empty with r >= 3, n_range must hold an even n above the largest r
-    and none above ORDER_MAX, and b_policy must be "random", "unit" or "max".
-    Any applicable trial without a factor aborts with a TheoremViolation
-    carrying a full reproducer.
+    Blocks are generated as they are checked, and their reports are counted
+    and dropped. The arguments are checked before any trial runs: r_range
+    must be non-empty with r >= 3, n_range must hold an even n above the
+    largest r and none above ORDER_MAX, and b_policy must be "random",
+    "unit" or "max". The first applicable trial without a factor ends the
+    campaign after its block with a TheoremViolation carrying a reproducer.
     """
     n_lo, n_hi = n_range
     r_lo, r_hi = r_range
@@ -480,37 +500,17 @@ def randomized_theorem_campaign(
         raise ValueError(f"unknown b_policy {b_policy!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    specs = [
-        (master_seed, i, n_lo, n_hi, r_lo, r_hi, b_policy) for i in range(trials)
-    ]
-    blocks = [specs[i : i + _CAMPAIGN_BLOCK] for i in range(0, trials, _CAMPAIGN_BLOCK)]
-    if jobs > 1 and len(blocks) > 1:
+    starts = range(0, trials, _CAMPAIGN_BLOCK)
+    ranges = (n_lo, n_hi, r_lo, r_hi, b_policy)
+    blocks = ((master_seed, i, min(i + _CAMPAIGN_BLOCK, trials), *ranges) for i in starts)
+    if jobs > 1 and len(starts) > 1:
         # imported here so that a serial run never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        import multiprocessing
 
         # the pool forks all its workers at once, so it gets one per block and
-        # one per CPU at most; the reports do not depend on the worker count
-        workers = min(jobs, len(blocks), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_campaign_block, blocks))
-    else:
-        done = [_campaign_block(block) for block in blocks]
-    reports = [rep for block in done for rep in block]
-
-    for rep in reports:
-        if rep.implication_applicable and not rep.factor_found:
-            g = random_regular(rep.n, rep.r, seed=rep.seed)
-            raise TheoremViolation(
-                f"applicable trial without factor: n={rep.n}, r={rep.r}, b={rep.b}, "
-                f"seed={rep.seed}, lambda3={rep.lambda3!r}, rho={rep.rho!r}",
-                graph_text=serialize_edge_list(g),
-            )
-    # every applicable trial found a factor, or the loop above raised
-    applicable = sum(rep.implication_applicable for rep in reports)
-    return CampaignSummary(
-        trials=trials,
-        applicable=applicable,
-        found=applicable,
-        inapplicable=trials - applicable,
-        reports=tuple(reports),
-    )
+        # one per CPU at most; imap gives the blocks back in trial order, and
+        # leaving the with block, after the last or on a raise, terminates it
+        workers = min(jobs, len(starts), os.cpu_count() or 1)
+        with multiprocessing.Pool(workers) as pool:
+            return _tally(trials, pool.imap(_campaign_block, blocks))
+    return _tally(trials, map(_campaign_block, blocks))

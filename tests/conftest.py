@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from oddfactor import verify
 from oddfactor.factor import FactorCertificate
 from oddfactor.graphs import (
     DuplicateEdgeError,
@@ -17,7 +18,9 @@ from oddfactor.graphs import (
     MalformedHeaderError,
     SelfLoopError,
     VertexRangeError,
+    complete_minus,
 )
+from oddfactor.thresholds import extremal_missing, threshold_params
 from oddfactor.verify import SWEEP_CSV_HEADER
 
 # edge-count guard of dfs_odd_factor, whose search is exponential in the edges
@@ -281,6 +284,25 @@ def oracle_equitable(order: int, missing) -> bool:
             inner[v] += 1
     first = {k: lost.index(k) for k in dict.fromkeys(lost)}
     return all(inner[v] == inner[first[k]] for v, k in enumerate(lost))
+
+
+def sharp_graph(r: int, b: int) -> tuple:
+    """(G, S) for the sharpness of the whole theorem at (r, b): S is the eta
+    hub vertices 0..eta-1, and G is S plus r copies of the extremal component
+    H, where hub i joins the i-th vertex of degree r - 1 in every copy. G is
+    r-regular of even order, and G - S is the r copies, each of odd order, so
+    o(G - S) = r > b * eta and G has no odd [1,b]-factor. With eta = 0, H is
+    K_{r+1} and G is r disjoint copies of it."""
+    p = threshold_params(r, b)
+    h = complete_minus(*extremal_missing(p)[:2])
+    short = [v for v in range(h.n) if len(h.adj[v]) == r - 1]
+    assert len(short) == p.eta
+    edges = []
+    for copy in range(r):
+        off = p.eta + copy * h.n
+        edges += [(u + off, v + off) for u, v in h.edges]
+        edges += [(i, v + off) for i, v in enumerate(short)]
+    return Graph(p.eta + r * h.n, edges), tuple(range(p.eta))
 
 
 def petersen_graph() -> Graph:
@@ -558,6 +580,26 @@ class Poly:
 
 
 R, ETA, T, RHO = map(Poly.var, POLY_VARS)
+
+
+# ---------------------------------------------------------------------------
+# the campaign's trials
+
+
+def campaign_reports(
+    trials: int, n_range=(8, 20), r_range=(3, 7), b_policy="random", master_seed=0
+) -> list:
+    """The TrialReport of every trial of randomized_theorem_campaign with these
+    arguments, in trial order: verify._campaign_block over the campaign's
+    blocks, whose reports the campaign itself only counts."""
+    step = verify._CAMPAIGN_BLOCK
+    return [
+        rep
+        for start in range(0, trials, step)
+        for rep in verify._campaign_block(
+            (master_seed, start, min(start + step, trials), *n_range, *r_range, b_policy)
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -413,7 +413,7 @@ print(json.dumps(seen))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert json.loads(out.splitlines()[-1]) == [[], [], ["concurrent", "multiprocessing"]]
+    assert json.loads(out.splitlines()[-1]) == [[], [], ["multiprocessing"]]
 
 
 def test_no_command_needs_dataclasses():

@@ -2,8 +2,10 @@ import csv
 import hashlib
 import io
 import math
+import multiprocessing
 import os
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,7 @@ from oddfactor.graphs import (
     cycle_graph,
     serialize_edge_list,
 )
+from oddfactor.spectral import spectra
 from oddfactor.thresholds import (
     DegenerateConstructionError,
     ThresholdParams,
@@ -60,9 +63,11 @@ from conftest import (
     RHO,
     T,
     block_quotient,
+    campaign_reports,
     check_invariants,
     components,
     cubic_no_matching_16,
+    delete_vertices,
     disjoint_union,
     extremal_partition,
     oracle_equitable,
@@ -71,6 +76,7 @@ from conftest import (
     petersen_graph,
     quartic_no_matching_22,
     quotient_roots,
+    sharp_graph,
 )
 
 
@@ -246,6 +252,32 @@ def test_sharpness_check_even():
     assert rep.n_vertices == 5 and rep.edge_count == 10
     assert rep.equitable
     assert rep.quotient_top == 4.0
+
+
+@pytest.mark.parametrize("r, b", [(8, 3), (10, 3), (12, 3), (11, 3)])
+def test_whole_theorem_is_sharp(r, b):
+    # a connected r-regular graph of even order with lambda_3 = rho and no odd
+    # [1,b]-factor: the theorem's strict inequality cannot be relaxed
+    g, s = sharp_graph(r, b)
+    p = threshold_params(r, b)
+    assert len(s) == p.eta > 0 and len(components(g)) == 1
+    assert g.regular_degree() == r and g.n % 2 == 0
+    (spec,) = spectra([g])
+    assert abs(spec[1] - p.rho) < 1e-9 and abs(spec[2] - p.rho) < 1e-9
+    assert find_odd_factor(g, b) is None
+    # Amahashi's witness, by count: G - S leaves r odd components
+    rest, _ = delete_vertices(g, s)
+    odd = sum(len(c) % 2 for c in components(rest))
+    assert odd == r > b * p.eta
+
+
+@pytest.mark.parametrize("r, b", [(6, 3), (8, 5)])
+def test_whole_theorem_sharp_graph_needs_hubs(r, b):
+    # eta = 0 leaves no hub to join the copies of K_{r+1}
+    g, s = sharp_graph(r, b)
+    assert s == ()
+    assert g == disjoint_union([complete_graph(r + 1)] * r)
+    assert len(components(g)) == r
 
 
 def test_missing_quotient_matches_block_mean_oracle():
@@ -635,7 +667,7 @@ RECORDS = [
     (
         CampaignSummary,
         lambda: randomized_theorem_campaign(2, master_seed=3),
-        ("trials", "applicable", "found", "inapplicable", "reports"),
+        ("trials", "applicable", "found", "inapplicable"),
     ),
 ]
 
@@ -684,7 +716,9 @@ def test_campaign_counts_and_invariant():
     assert summary.applicable + summary.inapplicable == 50
     assert summary.found == summary.applicable
     assert summary.to_json_dict()["counterexamples"] == []
-    for rep in summary.reports:
+    reports = campaign_reports(50, master_seed=2024)
+    assert summary.applicable == sum(rep.implication_applicable for rep in reports)
+    for rep in reports:
         if rep.implication_applicable:
             assert rep.factor_found is True
         assert rep.n % 2 == 0 and 3 <= rep.r <= 7
@@ -698,6 +732,46 @@ def test_campaign_raises_with_reproducer(monkeypatch):
     with pytest.raises(verify.TheoremViolation, match="n=12, r=7, b=5, seed=1000003,") as info:
         randomized_theorem_campaign(5, master_seed=1)
     assert info.value.graph_text == serialize_edge_list(random_regular(12, 7, seed=1000003))
+
+
+def test_campaign_stops_at_its_first_counterexample(monkeypatch):
+    # the counterexample above is trial 3 of master seed 1, so a campaign of
+    # ten blocks checks its first block and raises the same reproducer
+    monkeypatch.setattr(verify, "find_odd_factor", lambda g, b: None)
+    with pytest.raises(verify.TheoremViolation) as pinned:
+        randomized_theorem_campaign(5, master_seed=1)
+    real, blocks = verify._campaign_block, []
+
+    def counted(block):
+        blocks.append(block)
+        return real(block)
+
+    monkeypatch.setattr(verify, "_campaign_block", counted)
+    with pytest.raises(verify.TheoremViolation) as info:
+        randomized_theorem_campaign(640, master_seed=1)
+    assert len(blocks) == 1 and blocks[0] == (1, 0, 64, 8, 20, 3, 7, "random")
+    assert (str(info.value), info.value.graph_text) == (str(pinned.value), pinned.value.graph_text)
+    # forked workers see the patched decider, and the pool gives the blocks
+    # back in trial order, so the same trial raises
+    monkeypatch.setattr(verify, "_campaign_block", real)
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
+    with pytest.raises(verify.TheoremViolation) as info:
+        randomized_theorem_campaign(640, master_seed=1, jobs=2)
+    assert (str(info.value), info.value.graph_text) == (str(pinned.value), pinned.value.graph_text)
+
+
+def test_campaign_memory_does_not_grow_with_trials(monkeypatch):
+    # with the trials stubbed out, what is left is the campaign's own
+    # bookkeeping, which holds one block at a time whatever --trials says
+    monkeypatch.setattr(verify, "_campaign_block", lambda block: [])
+    tracemalloc.start()
+    try:
+        summary = randomized_theorem_campaign(10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert summary == (10**5, 0, 0, 10**5)
 
 
 def _list_drawn_trial(master_seed, index, n_lo, n_hi, r_lo, r_hi, b_policy):
@@ -733,11 +807,14 @@ def test_campaign_n_draw_matches_the_list_draw(n_range, r_range, policy):
 
 
 def test_campaign_reproducible():
-    s1 = randomized_theorem_campaign(25, master_seed=5)
-    s2 = randomized_theorem_campaign(25, master_seed=5)
-    assert s1.reports == s2.reports
-    s3 = randomized_theorem_campaign(25, master_seed=6)
-    assert s1.reports != s3.reports
+    assert randomized_theorem_campaign(25, master_seed=5) == randomized_theorem_campaign(
+        25, master_seed=5
+    )
+    s1 = campaign_reports(25, master_seed=5)
+    s2 = campaign_reports(25, master_seed=5)
+    assert s1 == s2
+    s3 = campaign_reports(25, master_seed=6)
+    assert s1 != s3
 
 
 def test_campaign_parallel_matches_serial():
@@ -745,17 +822,21 @@ def test_campaign_parallel_matches_serial():
     for trials in (16, 130):
         s1 = randomized_theorem_campaign(trials, master_seed=31, jobs=1)
         s2 = randomized_theorem_campaign(trials, master_seed=31, jobs=2)
-        assert s1.reports == s2.reports
+        assert s1 == s2
 
 
 @pytest.mark.parametrize("policy", ["random", "unit", "max"])
 def test_campaign_blocks_equal_single_checks(policy):
     # counts on both sides of a block edge; a trial's report depends only on
-    # its own seed, so a shorter campaign is a prefix of a longer one
-    full = randomized_theorem_campaign(197, b_policy=policy, master_seed=4).reports
-    for trials in (1, 63, 64, 65):
-        reports = randomized_theorem_campaign(trials, b_policy=policy, master_seed=4).reports
+    # its own seed, so a shorter campaign is a prefix of a longer one, and the
+    # campaign counts the applicable reports of its trials
+    full = campaign_reports(197, b_policy=policy, master_seed=4)
+    for trials in (1, 63, 64, 65, 197):
+        reports = campaign_reports(trials, b_policy=policy, master_seed=4)
         assert reports == full[:trials]
+        applicable = sum(rep.implication_applicable for rep in reports)
+        summary = randomized_theorem_campaign(trials, b_policy=policy, master_seed=4)
+        assert summary == (trials, applicable, applicable, trials - applicable)
     for rep in full:
         g = random_regular(rep.n, rep.r, seed=rep.seed)
         assert theorem_check(g, rep.b, seed=rep.seed) == rep
@@ -766,13 +847,11 @@ def test_campaign_blocks_equal_single_checks(policy):
 def test_campaign_pool_gets_one_worker_per_block(monkeypatch):
     # a stand-in pool that records its size and runs the trials in this
     # process, so the test starts no process whatever --jobs says
-    import concurrent.futures
-
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, processes):
+            sizes.append(processes)
 
         def __enter__(self):
             return self
@@ -780,11 +859,11 @@ def test_campaign_pool_gets_one_worker_per_block(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
+        def imap(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    serial = randomized_theorem_campaign(200, master_seed=3, jobs=1).reports
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    serial = {t: randomized_theorem_campaign(t, master_seed=3) for t in (2, 64, 65, 129, 200)}
     # blocks of 64 trials; one block runs serially whatever --jobs says, and
     # the pool never gets more workers than blocks or CPUs
     cases = {
@@ -796,7 +875,7 @@ def test_campaign_pool_gets_one_worker_per_block(monkeypatch):
         for trials, jobs, workers in runs:
             pooled = randomized_theorem_campaign(trials, master_seed=3, jobs=jobs)
             assert (sizes.pop() if sizes else None) == workers, (cpus, trials, jobs)
-            assert pooled.reports == serial[:trials]
+            assert pooled == serial[trials]
     assert not sizes
 
 
@@ -816,7 +895,8 @@ def test_campaign_b_policies():
         summary = randomized_theorem_campaign(10, b_policy=policy, master_seed=8)
         assert summary.trials == 10
         if policy == "unit":
-            assert all(rep.b == 1 for rep in summary.reports)
+            reports = campaign_reports(10, b_policy=policy, master_seed=8)
+            assert all(rep.b == 1 for rep in reports)
 
 
 def test_campaign_rejects_bad_ranges():
@@ -877,4 +957,4 @@ def test_campaign_rejects_jobs_below_one(jobs):
 def test_campaign_accepts_tightest_ranges():
     summary = randomized_theorem_campaign(3, n_range=(8, 8), r_range=(7, 7))
     assert summary.trials == 3
-    assert {rep.n for rep in summary.reports} == {8}
+    assert {rep.n for rep in campaign_reports(3, n_range=(8, 8), r_range=(7, 7))} == {8}
