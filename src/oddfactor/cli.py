@@ -24,7 +24,6 @@ import sys
 # other commands, verify sweep and case2 among them, start without numpy
 from .factor import (
     DEFAULT_MAX_N,
-    FactorCertificate,
     check_amahashi,
     find_odd_factor,
     verify_certificate,
@@ -259,7 +258,7 @@ def _cmd_find_factor(args) -> int:
     m = len(g.edges)
     if m > args.max_edges:
         raise ValueError(f"edge count {m} exceeds the search guard {args.max_edges}")
-    return _decide(g, args.b, DEFAULT_MAX_N, FactorCertificate.to_json_dict)
+    return _decide(g, args.b, DEFAULT_MAX_N, lambda cert: {"kind": "factor", "edges": cert.edges})
 
 
 def _decide(g: Graph, b: int, max_n: int, found) -> int:
@@ -286,7 +285,8 @@ def _decide(g: Graph, b: int, max_n: int, found) -> int:
             file=sys.stderr,
         )
         return EXIT_THEOREM
-    sys.stdout.write(json.dumps(violation.to_json_dict()) + "\n")
+    payload = {"kind": "violation", "S": violation.s, "o": violation.o, "bound": violation.bound}
+    sys.stdout.write(json.dumps(payload) + "\n")
     return EXIT_NEGATIVE
 
 
@@ -372,7 +372,8 @@ def _cmd_verify_campaign(args) -> int:
         if exc.graph_text:
             print(exc.graph_text, file=sys.stderr)
         return EXIT_THEOREM
-    sys.stdout.write(json.dumps(summary.to_json_dict()) + "\n")
+    # always empty: the first counterexample raises TheoremViolation
+    sys.stdout.write(json.dumps({**summary._asdict(), "counterexamples": []}) + "\n")
     return EXIT_OK
 
 

@@ -44,20 +44,13 @@ class FactorCertificate(NamedTuple):
     edges: tuple
     degrees: tuple
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "factor", "edges": [list(e) for e in self.edges]}
-
 
 class AmahashiViolation(NamedTuple):
     """A vertex set S with more odd components in G-S than b|S| allows."""
 
     s: tuple
-    odd_components: tuple  # in original labels
     o: int
     bound: int
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "violation", "S": list(self.s), "o": self.o, "bound": self.bound}
 
 
 class CertificateCheck(NamedTuple):
@@ -73,14 +66,14 @@ def _check_b(b: int) -> None:
         raise ValueError(f"b must be a positive odd integer, got {b}")
 
 
-def _odd_components_masked(adj_masks, n: int, deleted: int) -> list:
-    """Bit masks of the odd components of the graph restricted to vertices
-    outside `deleted`, in order of smallest vertex.
+def _odd_count_masked(adj_masks, n: int, deleted: int) -> int:
+    """The number of odd components of the graph restricted to vertices
+    outside `deleted`.
 
     Bitmask flood fill; avoids building Graph objects in the subset loop.
     """
     remaining = ((1 << n) - 1) & ~deleted
-    odd = []
+    odd = 0
     while remaining:
         seed = remaining & -remaining
         comp = seed
@@ -94,8 +87,7 @@ def _odd_components_masked(adj_masks, n: int, deleted: int) -> list:
                 reach |= adj_masks[vbit.bit_length() - 1]
             frontier = reach & remaining & ~comp
             comp |= frontier
-        if comp.bit_count() % 2 == 1:
-            odd.append(comp)
+        odd += comp.bit_count() % 2
         remaining &= ~comp
     return odd
 
@@ -121,10 +113,9 @@ def check_amahashi(g: Graph, b: int, max_n: int = DEFAULT_MAX_N):
             deleted = 0
             for v in combo:
                 deleted |= 1 << v
-            odd = _odd_components_masked(adj_masks, n, deleted)
-            if len(odd) > bound:
-                comps = tuple(tuple(v for v in range(n) if m >> v & 1) for m in odd)
-                return AmahashiViolation(s=combo, odd_components=comps, o=len(odd), bound=bound)
+            o = _odd_count_masked(adj_masks, n, deleted)
+            if o > bound:
+                return AmahashiViolation(s=combo, o=o, bound=bound)
     return None
 
 

@@ -130,15 +130,6 @@ class CampaignSummary(NamedTuple):
     found: int
     inapplicable: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "applicable": self.applicable,
-            "found": self.found,
-            "inapplicable": self.inapplicable,
-            "counterexamples": [],  # the first one raises TheoremViolation
-        }
-
 
 def _suitable_pair_exists(edges: set, leftover: dict, n: int) -> bool:
     verts = sorted(leftover)
@@ -196,14 +187,17 @@ def _pairing_attempt(n: int, base: list, getrandbits):
     return edges
 
 
-def random_regular(n: int, r: int, seed: int, max_retries: int = 10_000) -> Graph:
+_MAX_RETRIES = 10_000  # restarts random_regular allows before it gives up
+
+
+def random_regular(n: int, r: int, seed: int) -> Graph:
     """Sample a simple connected r-regular graph by the pairing model.
 
     Stubs are shuffled and paired; self-loops and repeated pairs are thrown
     back and re-paired, and the attempt restarts from scratch once no simple
     pair can be completed or the finished graph is disconnected, so every
     graph returned is connected. Raises ValueError when no connected graph
-    fits n and r, and RuntimeError after max_retries restarts.
+    fits n and r, and RuntimeError after _MAX_RETRIES restarts.
 
     The graph is a function of the seed through random.Random(seed)'s
     getrandbits stream alone: every shuffle draws exactly the words
@@ -218,7 +212,7 @@ def random_regular(n: int, r: int, seed: int, max_retries: int = 10_000) -> Grap
         raise ValueError(f"no connected {r}-regular graph has n={n} vertices")
     getrandbits = random.Random(seed).getrandbits
     base = [v for v in range(n) for _ in range(r)]
-    for _ in range(max_retries + 1):
+    for _ in range(_MAX_RETRIES + 1):
         codes = _pairing_attempt(n, base, getrandbits)
         if codes is not None:
             g = Graph._canonical(n, [divmod(c, n) for c in sorted(codes)])
@@ -226,7 +220,7 @@ def random_regular(n: int, r: int, seed: int, max_retries: int = 10_000) -> Grap
                 return g
     raise RuntimeError(
         f"pairing model failed to produce a simple connected {r}-regular graph on {n} "
-        f"vertices after {max_retries + 1} attempts (seed {seed})"
+        f"vertices after {_MAX_RETRIES + 1} attempts (seed {seed})"
     )
 
 

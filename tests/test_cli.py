@@ -207,6 +207,28 @@ def test_check_holds_and_violation(capsys, tmp_path):
     assert payload == {"kind": "violation", "S": [0], "o": 3, "bound": 1}
 
 
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (
+            ("find-factor", "C6", "--b", "1"),
+            0,
+            '{"kind": "factor", "edges": [[0, 1], [2, 3], [4, 5]]}',
+        ),
+        (("check", "K1", "--b", "1"), 3, '{"kind": "violation", "S": [], "o": 1, "bound": 0}'),
+        (
+            ("verify", "campaign", "--trials", "0"),
+            0,
+            '{"trials": 0, "applicable": 0, "found": 0, "inapplicable": 0, "counterexamples": []}',
+        ),
+    ],
+)
+def test_record_payload_bytes_are_pinned(capsys, argv, code, line):
+    # the CLI alone turns a factor, a witness and a campaign summary into
+    # JSON; this pins their keys, key order and spacing
+    assert run(capsys, *argv) == (code, line + "\n", "")
+
+
 def test_find_factor_exit_codes(capsys, tmp_path):
     code, out, err = run(capsys, "find-factor", "C6", "--b", "1")
     assert code == 0

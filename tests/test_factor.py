@@ -1,4 +1,6 @@
+import io
 import itertools
+import json
 import random
 
 import pytest
@@ -6,13 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddfactor import factor
+from oddfactor.cli import main
 from oddfactor.factor import (
     FactorCertificate,
     check_amahashi,
     find_odd_factor,
     verify_certificate,
 )
-from oddfactor.graphs import Graph, complete_graph, cycle_graph, empty_graph
+from oddfactor.graphs import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    serialize_edge_list,
+)
 from conftest import (
     barrier_cubic,
     brute_force_has_odd_factor,
@@ -31,13 +40,20 @@ def star_k13():
     return join(complete_graph(1), empty_graph(3))
 
 
-def test_check_amahashi_star():
+def cli_payload(capsys, monkeypatch, command, g, b):
+    """The exit code and the JSON payload of `oddfactor <command> - --b <b>` on g."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_edge_list(g)))
+    code = main([command, "-", "--b", str(b)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_check_amahashi_star(capsys, monkeypatch):
     v = check_amahashi(star_k13(), 1)
     assert v is not None
     assert v.s == (0,)
     assert v.o == 3 and v.bound == 1
-    assert v.odd_components == ((1,), (2,), (3,))
-    assert v.to_json_dict() == {"kind": "violation", "S": [0], "o": 3, "bound": 1}
+    payload = {"kind": "violation", "S": [0], "o": 3, "bound": 1}
+    assert cli_payload(capsys, monkeypatch, "check", star_k13(), 1) == (3, payload)
 
 
 def test_check_amahashi_empty_set_witness():
@@ -54,7 +70,7 @@ def test_check_amahashi_holds_on_c6():
 def test_check_amahashi_stops_where_no_set_can_violate(monkeypatch):
     # only |S| < n/(b+1) can violate: sizes 0-2 of C6 at b = 1 (1 + 6 + 15
     # subsets), sizes 0-1 at b = 3 (1 + 6)
-    real = factor._odd_components_masked
+    real = factor._odd_count_masked
     for b, calls in ((1, 22), (3, 7)):
         seen = []
 
@@ -62,7 +78,7 @@ def test_check_amahashi_stops_where_no_set_can_violate(monkeypatch):
             seen.append(args)
             return real(*args)
 
-        monkeypatch.setattr(factor, "_odd_components_masked", counted)
+        monkeypatch.setattr(factor, "_odd_count_masked", counted)
         assert check_amahashi(cycle_graph(6), b) is None
         assert len(seen) == calls, b
 
@@ -270,8 +286,7 @@ def test_counting_step_on_cubic_witness():
 
 
 def test_violation_components_match_deleted_graph():
-    # oracle: the odd components of G - S from the Graph-level component
-    # search, lifted back to the labels of G
+    # oracle: the odd components of G - S from the Graph-level component search
     rng = random.Random(23)
     checked = 0
     for _ in range(400):
@@ -281,18 +296,15 @@ def test_violation_components_match_deleted_graph():
             if v is None:
                 continue
             checked += 1
-            h, mapping = delete_vertices(g, v.s)
-            back = {new: old for old, new in mapping.items()}
-            odd = tuple(
-                tuple(back[w] for w in comp) for comp in components(h) if len(comp) % 2 == 1
-            )
-            assert v.odd_components == odd, (g.edges, b)
-            assert v.o == len(v.odd_components) > v.bound == b * len(v.s)
+            h, _ = delete_vertices(g, v.s)
+            odd = sum(len(comp) % 2 for comp in components(h))
+            assert v.o == odd, (g.edges, b)
+            assert v.o > v.bound == b * len(v.s)
     assert checked >= 900
 
 
-def test_certificate_json_shape():
-    cert = find_odd_factor(cycle_graph(6), 1)
-    payload = cert.to_json_dict()
+def test_certificate_json_shape(capsys, monkeypatch):
+    code, payload = cli_payload(capsys, monkeypatch, "find-factor", cycle_graph(6), 1)
+    assert code == 0
     assert payload["kind"] == "factor"
     assert sorted(payload["edges"]) == [[0, 1], [2, 3], [4, 5]]

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import json
 import math
 import multiprocessing
 import os
@@ -106,13 +107,15 @@ def test_random_regular_k4_forced():
         assert random_regular(4, 3, seed=seed) == complete_graph(4)
 
 
-def test_random_regular_errors():
+def test_random_regular_errors(monkeypatch):
     with pytest.raises(ValueError):
         random_regular(5, 3, seed=0)  # odd stub total
     with pytest.raises(ValueError):
         random_regular(4, 4, seed=0)
-    with pytest.raises(RuntimeError):
-        random_regular(16, 7, seed=0, max_retries=-1)  # zero attempts allowed
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_MAX_RETRIES", -1)  # zero attempts allowed
+        with pytest.raises(RuntimeError):
+            random_regular(16, 7, seed=0)
     # no connected 0- or 1-regular graph beyond K1 and K2: refused before sampling
     for n, r in ((2, 0), (5, 0), (4, 1), (200, 1)):
         with pytest.raises(ValueError, match="no connected"):
@@ -636,7 +639,7 @@ RECORDS = [
         AmahashiViolation,
         # the star K_{1,3}: deleting its centre leaves three odd components
         lambda: check_amahashi(complete_minus(4, {(1, 2), (1, 3), (2, 3)}), 1),
-        ("s", "odd_components", "o", "bound"),
+        ("s", "o", "bound"),
     ),
     (
         CertificateCheck,
@@ -710,12 +713,14 @@ def test_bound_sweep_rejects_small_r_max():
 # randomized campaign
 
 
-def test_campaign_counts_and_invariant():
+def test_campaign_counts_and_invariant(capsys):
     summary = randomized_theorem_campaign(50, master_seed=2024)
     assert summary.trials == 50
     assert summary.applicable + summary.inapplicable == 50
     assert summary.found == summary.applicable
-    assert summary.to_json_dict()["counterexamples"] == []
+    assert main(["verify", "campaign", "--trials", "50", "--master-seed", "2024"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {**summary._asdict(), "counterexamples": []}
     reports = campaign_reports(50, master_seed=2024)
     assert summary.applicable == sum(rep.implication_applicable for rep in reports)
     for rep in reports:
@@ -879,9 +884,10 @@ def test_campaign_pool_gets_one_worker_per_block(monkeypatch):
     assert not sizes
 
 
-def test_campaign_empty():
-    summary = randomized_theorem_campaign(0)
-    assert summary.to_json_dict() == {
+def test_campaign_empty(capsys):
+    assert randomized_theorem_campaign(0) == CampaignSummary(0, 0, 0, 0)
+    assert main(["verify", "campaign", "--trials", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
         "trials": 0,
         "applicable": 0,
         "found": 0,
