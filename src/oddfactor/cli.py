@@ -5,7 +5,9 @@ verify family (sharpness, case2, sweep, campaign). Results go to stdout,
 diagnostics to stderr. Exit codes: 0 success/holds/found, 3 no factor or
 criterion violated, 2 usage or input error, 4 theorem contradiction
 (including a rejected factor certificate and the two factor deciders
-disagreeing on a graph).
+disagreeing on a graph). main looks the command words up in a table of the
+commands' own parsers; the top-level parser reads only an argv that names
+no command or leaves arguments over, so help and usage errors are its own.
 
 Graphs enter as edge-list files ('-' for stdin) or as inline construction
 specs: K5, C7, E4, M6 (matching complement), H:r=5,b=1 (extremal graph).
@@ -129,34 +131,43 @@ DEFAULT_MAX_EDGES = 64
 DIGITS_MAX = 17  # 17 significant digits tell any two doubles apart
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
+    """The top-level parser, and each command's parser keyed by its command
+    words: ("check",), ..., ("verify", "sweep")."""
+    commands = {}
     parser = argparse.ArgumentParser(
         prog="oddfactor",
         description="Spectral thresholds and exact deciders for odd [1,b]-factors in regular graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", help="emit a standard or extremal graph")
+    p = commands[("construct",)] = sub.add_parser(
+        "construct", help="emit a standard or extremal graph"
+    )
     p.add_argument("spec", help="construction spec (K5, C7, E4, M6, H:r=5,b=1)")
     p.add_argument("--format", choices=["edges", "dot"], default="edges")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("spectrum", help="adjacency eigenvalues of a graph")
+    p = commands[("spectrum",)] = sub.add_parser(
+        "spectrum", help="adjacency eigenvalues of a graph"
+    )
     p.add_argument("input", nargs="?", default="-", help="edge-list file, '-', or construction spec")
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--digits", type=_digits, default=9)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("threshold", help="threshold parameters and bound values")
+    p = commands[("threshold",)] = sub.add_parser(
+        "threshold", help="threshold parameters and bound values"
+    )
     p.add_argument("--r", type=_int, required=True)
     p.add_argument("--b", type=_int, required=True)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--digits", type=_digits, default=9)
     p.set_defaults(func=_cmd_threshold)
 
-    p = sub.add_parser(
+    p = commands[("check",)] = sub.add_parser(
         "check",
         help="test the odd-component criterion: 'holds' from a verified factor, else a "
         "violation from the subset search up to --max-n vertices, or 'none' above it",
@@ -166,7 +177,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=_int, default=DEFAULT_MAX_N)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("find-factor", help="exact polynomial decider for an odd [1,b]-factor")
+    p = commands[("find-factor",)] = sub.add_parser(
+        "find-factor", help="exact polynomial decider for an odd [1,b]-factor"
+    )
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--b", type=_int, required=True)
     p.add_argument("--max-edges", type=_int, default=DEFAULT_MAX_EDGES)
@@ -175,24 +188,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification harness")
     vsub = p.add_subparsers(dest="verify_command", required=True)
 
-    v = vsub.add_parser("sharpness", help="extremal graph attains the threshold")
+    v = commands[("verify", "sharpness")] = vsub.add_parser(
+        "sharpness", help="extremal graph attains the threshold"
+    )
     v.add_argument("--r", type=_int, required=True)
     v.add_argument("--b", type=_int, required=True)
     v.add_argument("--digits", type=_digits, default=9)
     v.set_defaults(func=_cmd_verify_sharpness)
 
-    v = vsub.add_parser("case2", help="quotient polynomial nonpositive at the threshold")
+    v = commands[("verify", "case2")] = vsub.add_parser(
+        "case2", help="quotient polynomial nonpositive at the threshold"
+    )
     v.add_argument("--r", type=_int, required=True)
     v.add_argument("--b", type=_int, required=True)
     v.add_argument("--digits", type=_digits, default=9)
     v.set_defaults(func=_cmd_verify_case2)
 
-    v = vsub.add_parser("sweep", help="bound comparison CSV over all (r, b)")
+    v = commands[("verify", "sweep")] = vsub.add_parser(
+        "sweep", help="bound comparison CSV over all (r, b)"
+    )
     v.add_argument("--r-max", type=_int, default=60)
     v.add_argument("-o", "--output", default=None)
     v.set_defaults(func=_cmd_verify_sweep)
 
-    v = vsub.add_parser("campaign", help="randomized trials of the factor implication")
+    v = commands[("verify", "campaign")] = vsub.add_parser(
+        "campaign", help="randomized trials of the factor implication"
+    )
     v.add_argument("--trials", type=_int, default=500)
     v.add_argument("--master-seed", type=_int, default=0)
     v.add_argument("--n-min", type=_int, default=8)
@@ -203,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--jobs", type=_int, default=1)
     v.set_defaults(func=_cmd_verify_campaign)
 
-    return parser
+    return parser, commands
 
 
 def _cmd_construct(args) -> int:
@@ -377,12 +398,30 @@ def _cmd_verify_campaign(args) -> int:
     return EXIT_OK
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
+
+
+def _parse(argv: list):
+    """Parse argv with the parser of the command that its leading words
+    name, which skips the top-level parser's own dispatch.
+
+    The top-level parser reads argv only when it names no command or the
+    command's parser leaves arguments over, so every help text, usage error
+    and exit code stays the one it gives.
+    """
+    for k in (1, 2):
+        parser = _COMMANDS.get(tuple(argv[:k]))
+        if parser is not None:
+            args, rest = parser.parse_known_args(argv[k:])
+            if not rest:
+                return args
+            break
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -10,7 +10,10 @@ Two independent routes answer the same question:
   itself is matched first. For b >= 3 and a G with no perfect matching,
   the degree gadget (Tutte 1954; Cornuejols, General factors of graphs,
   1988) turns every vertex into ports and absorbers so that its perfect
-  matchings are exactly the odd [1,b]-factors of G.
+  matchings are exactly the odd [1,b]-factors of G. Each contracted
+  blossom keeps the list of its members (Gabow 1976), so a contraction
+  costs time proportional to the blossom, not to the order of the graph
+  searched.
 
 For odd b the two must agree on every graph (Amahashi's theorem); tests
 enforce exactly that, with the earlier backtracking search over edges kept
@@ -39,10 +42,14 @@ DEFAULT_MAX_N = 22
 
 
 class FactorCertificate(NamedTuple):
-    """Edge subset of the host graph in which every vertex degree is odd and in [1, b]."""
+    """Edge subset of the host graph in which every vertex degree is odd and in [1, b].
+
+    find_odd_factor leaves degrees empty; verify_certificate recounts them
+    from edges.
+    """
 
     edges: tuple
-    degrees: tuple
+    degrees: tuple = ()
 
 
 class AmahashiViolation(NamedTuple):
@@ -137,8 +144,8 @@ def find_odd_factor(g: Graph, b: int):
     _check_b(b)
     n = g.n
     if n == 0:
-        return FactorCertificate(edges=(), degrees=())
-    if n % 2 == 1 or min(g.degrees()) == 0:
+        return FactorCertificate(edges=())
+    if n % 2 == 1 or not all(g.adj):
         # odd vertex count cannot have all degrees odd; isolated vertices
         # cannot reach degree 1
         return None
@@ -152,7 +159,7 @@ def find_odd_factor(g: Graph, b: int):
                     break
     if _complete_matching(g.adj, mate):
         picked = tuple((v, w) for v, w in enumerate(mate) if v < w)
-        return FactorCertificate(edges=picked, degrees=(1,) * n)
+        return FactorCertificate(edges=picked)
     if b == 1:
         return None
 
@@ -160,11 +167,7 @@ def find_odd_factor(g: Graph, b: int):
     if not _complete_matching(gadget_adj, gadget_mate):
         return None
     picked = tuple(e for i, e in enumerate(g.edges) if gadget_mate[2 * i] == 2 * i + 1)
-    final = [0] * n
-    for u, w in picked:
-        final[u] += 1
-        final[w] += 1
-    return FactorCertificate(edges=picked, degrees=tuple(final))
+    return FactorCertificate(edges=picked)
 
 
 def _degree_gadget(g: Graph, b: int, mate_g: list):
@@ -222,30 +225,36 @@ def _augment(adj, mate: list, root: int) -> bool:
 
     Grows an alternating tree breadth first and contracts each odd cycle
     (blossom) into its base; on reaching another exposed vertex it flips
-    the path into mate and returns True.
+    the path into mate and returns True. Each contracted base keeps the
+    list of its members (Gabow 1976), so a contraction relabels only the
+    vertices of the new blossom and costs time proportional to it; the
+    vertices it turns outer join the queue in increasing order.
     """
     n = len(adj)
     base = list(range(n))
+    members = {}  # base of a contracted blossom -> the vertices it stands for
     parent = [-1] * n
     outer = [False] * n
     outer[root] = True
     queue = [root]
+    stamp = [0] * n
+    tick = 0
 
     def common_base(a: int, c: int) -> int:
-        seen = [False] * n
         while True:
             a = base[a]
-            seen[a] = True
+            stamp[a] = tick
             if mate[a] == -1:
                 break
             a = parent[mate[a]]
-        while not seen[base[c]]:
+        while stamp[base[c]] != tick:
             c = parent[mate[base[c]]]
         return base[c]
 
-    def mark_path(v: int, top: int, child: int, blossom: list) -> None:
+    def mark_path(v: int, top: int, child: int, marked: set) -> None:
         while base[v] != top:
-            blossom[base[v]] = blossom[base[mate[v]]] = True
+            marked.add(base[v])
+            marked.add(base[mate[v]])
             parent[v] = child
             child = mate[v]
             v = parent[child]
@@ -255,16 +264,23 @@ def _augment(adj, mate: list, root: int) -> bool:
             if base[v] == base[u] or mate[v] == u:
                 continue
             if u == root or (mate[u] != -1 and parent[mate[u]] != -1):
+                tick += 1
                 top = common_base(v, u)
-                blossom = [False] * n
-                mark_path(v, top, u, blossom)
-                mark_path(u, top, v, blossom)
-                for i in range(n):
-                    if blossom[base[i]]:
+                marked = set()
+                mark_path(v, top, u, marked)
+                mark_path(u, top, v, marked)
+                block = members.setdefault(top, [top])
+                fresh = []
+                for old in marked:
+                    group = members.pop(old, (old,))
+                    for i in group:
                         base[i] = top
                         if not outer[i]:
                             outer[i] = True
-                            queue.append(i)
+                            fresh.append(i)
+                    block.extend(group)
+                fresh.sort()
+                queue.extend(fresh)
             elif parent[u] == -1:
                 parent[u] = v
                 if mate[u] == -1:

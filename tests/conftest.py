@@ -471,6 +471,66 @@ def dfs_odd_factor(g: Graph, b: int, max_edges: int = DFS_MAX_EDGES):
     return FactorCertificate(edges=picked, degrees=tuple(final))
 
 
+def scan_augment(adj, mate: list, root: int) -> bool:
+    """Reference for factor._augment: the same Edmonds search, relabelling
+    each contracted blossom by a scan over all n vertices, which queues the
+    vertices that turn outer in increasing order. Patched into factor, it
+    pins the certificates find_odd_factor returns."""
+    n = len(adj)
+    base = list(range(n))
+    parent = [-1] * n
+    outer = [False] * n
+    outer[root] = True
+    queue = [root]
+
+    def common_base(a: int, c: int) -> int:
+        seen = [False] * n
+        while True:
+            a = base[a]
+            seen[a] = True
+            if mate[a] == -1:
+                break
+            a = parent[mate[a]]
+        while not seen[base[c]]:
+            c = parent[mate[base[c]]]
+        return base[c]
+
+    def mark_path(v: int, top: int, child: int, blossom: list) -> None:
+        while base[v] != top:
+            blossom[base[v]] = blossom[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    for v in queue:
+        for u in adj[v]:
+            if base[v] == base[u] or mate[v] == u:
+                continue
+            if u == root or (mate[u] != -1 and parent[mate[u]] != -1):
+                top = common_base(v, u)
+                blossom = [False] * n
+                mark_path(v, top, u, blossom)
+                mark_path(u, top, v, blossom)
+                for i in range(n):
+                    if blossom[base[i]]:
+                        base[i] = top
+                        if not outer[i]:
+                            outer[i] = True
+                            queue.append(i)
+            elif parent[u] == -1:
+                parent[u] = v
+                if mate[u] == -1:
+                    while u != -1:
+                        v = parent[u]
+                        w = mate[v]
+                        mate[u], mate[v] = v, u
+                        u = w
+                    return True
+                outer[mate[u]] = True
+                queue.append(mate[u])
+    return False
+
+
 # ---------------------------------------------------------------------------
 # integer polynomials, for identities that hold for every r
 

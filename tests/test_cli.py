@@ -607,6 +607,55 @@ def test_usage_errors(capsys):
         assert "unrecognized arguments: --digits 3" in err
 
 
+# one valid call of each command, which its own parser reads whole
+_VALID_CALLS = [
+    ("construct", "C6"),
+    ("spectrum", "C6"),
+    ("threshold", "--r", "5", "--b", "1"),
+    ("check", "C6", "--b", "1"),
+    ("find-factor", "C6", "--b", "1"),
+    ("verify", "sharpness", "--r", "5", "--b", "1"),
+    ("verify", "case2", "--r", "7", "--b", "1"),
+    ("verify", "sweep", "--r-max", "6"),
+    ("verify", "campaign", "--trials", "3"),
+]
+
+_DISPATCH_CORPUS = [
+    (),
+    ("-h",),
+    ("no-such-command", "C6"),
+    ("verify",),
+    ("verify", "-h"),
+    ("check", "-h"),
+    ("check", "C6"),
+    ("check", "C6", "--b", "x"),
+    ("check", "C6", "--b=1"),
+    ("check", "C6", "--b", "1", "--digits", "3"),
+    ("check", "C6", "C8", "--b", "1"),
+    ("check", "--b", "1", "--", "C6"),
+    ("verify", "sweep", "--bogus"),
+    *_VALID_CALLS,
+]
+
+
+def test_command_dispatch_matches_the_top_level_parser(capsys, monkeypatch):
+    # an empty command table sends every argv through the top-level parser
+    direct = [run(capsys, *argv) for argv in _DISPATCH_CORPUS]
+    monkeypatch.setattr("oddfactor.cli._COMMANDS", {})
+    assert [run(capsys, *argv) for argv in _DISPATCH_CORPUS] == direct
+    assert [code for code, _, _ in direct[:13]] == [2, 0, 2, 2, 0, 0, 2, 2, 0, 2, 2, 0, 2]
+
+
+def test_valid_calls_skip_the_top_level_parser(capsys, monkeypatch):
+    def top_level(*args, **kwargs):
+        raise AssertionError("a valid call reached the top-level parser")
+
+    monkeypatch.setattr("oddfactor.cli._PARSER.parse_args", top_level)
+    for argv in _VALID_CALLS:
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out, argv
+
+
 def test_determinism(capsys, monkeypatch):
     # the parser is built once per process, at import, so main never builds
     # one, and interleaved calls must not leak state into each other

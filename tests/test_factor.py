@@ -33,11 +33,22 @@ from conftest import (
     graphs,
     join,
     random_graph,
+    scan_augment,
+    sharp_graph,
 )
 
 
 def star_k13():
     return join(complete_graph(1), empty_graph(3))
+
+
+def edge_degrees(n: int, edges) -> tuple:
+    """The degrees the edges give, recounted; certificates carry no tally."""
+    degs = [0] * n
+    for u, w in edges:
+        degs[u] += 1
+        degs[w] += 1
+    return tuple(degs)
 
 
 def cli_payload(capsys, monkeypatch, command, g, b):
@@ -95,7 +106,7 @@ def test_find_odd_factor_c6():
     cert = find_odd_factor(g, 1)
     assert cert is not None
     assert len(cert.edges) == 3
-    assert set(cert.degrees) == {1}
+    assert set(edge_degrees(g.n, cert.edges)) == {1}
     assert verify_certificate(g, 1, cert)
 
 
@@ -201,7 +212,7 @@ def test_degree_gadget_cases():
     assert find_odd_factor(star, 3) is None
     cert = find_odd_factor(star, 5)
     assert cert is not None and verify_certificate(star, 5, cert)
-    assert cert.degrees == (5, 1, 1, 1, 1, 1)
+    assert edge_degrees(star.n, cert.edges) == (5, 1, 1, 1, 1, 1)
     # no perfect matching, so only the gadget finds these factors; on the
     # second graph the backtracking search cannot prove the b = 1 answer
     big = barrier_cubic(81)
@@ -210,7 +221,33 @@ def test_degree_gadget_cases():
         assert find_odd_factor(g, 1) is None
         cert = find_odd_factor(g, 3)
         assert cert is not None and verify_certificate(g, 3, cert)
-        assert max(cert.degrees) == 3
+        assert max(edge_degrees(g.n, cert.edges)) == 3
+
+
+def test_member_lists_give_the_scan_certificates(monkeypatch):
+    # the member-list relabelling must reproduce, edge for edge, the
+    # certificates of the full-scan search kept in conftest as the oracle
+    rng = random.Random(27)
+    cases = []
+    for _ in range(2000):
+        n = 2 * rng.randrange(1, 16)
+        edges = set(random_graph(rng, n, rng.choice([0.08, 0.12, 0.2, 0.3])).edges)
+        # no isolated vertex, so that no case stops before the search
+        for v in range(n):
+            if not any(v in e for e in edges):
+                w = rng.choice([u for u in range(n) if u != v])
+                edges.add((min(v, w), max(v, w)))
+        g = Graph(n, edges)
+        cases += [(g, b) for b in (1, 3, 5)]
+    cases += [(barrier_cubic(k), b) for k in range(7, 30, 2) for b in (1, 3)]
+    cases += [(sharp_graph(r, 3)[0], b) for r in (8, 12) for b in (1, 3)]
+    fast = [find_odd_factor(g, b) for g, b in cases]
+    monkeypatch.setattr(factor, "_augment", scan_augment)
+    slow = [find_odd_factor(g, b) for g, b in cases]
+    assert [c and c.edges for c in fast] == [c and c.edges for c in slow]
+    # b = 3 factors with no perfect matching under them come from the gadget
+    gadget = sum(1 for i in range(0, 6000, 3) if fast[i] is None and fast[i + 1] is not None)
+    assert gadget >= 200 and fast.count(None) >= 1000
 
 
 def test_odd_order_never_has_factor():

@@ -257,10 +257,12 @@ def test_sharpness_check_even():
     assert rep.quotient_top == 4.0
 
 
-@pytest.mark.parametrize("r, b", [(8, 3), (10, 3), (12, 3), (11, 3)])
+@pytest.mark.parametrize("r, b", [(8, 3), (10, 3), (12, 3), (11, 3), (16, 3), (20, 5)])
 def test_whole_theorem_is_sharp(r, b):
     # a connected r-regular graph of even order with lambda_3 = rho and no odd
-    # [1,b]-factor: the theorem's strict inequality cannot be relaxed
+    # [1,b]-factor: the theorem's strict inequality cannot be relaxed. At
+    # (16, 3) and (20, 5) the "no" comes from the degree gadget of a graph
+    # on 276 and 422 vertices
     g, s = sharp_graph(r, b)
     p = threshold_params(r, b)
     assert len(s) == p.eta > 0 and len(components(g)) == 1
