@@ -32,7 +32,6 @@ from .factor import (
 )
 from .graphs import (
     Graph,
-    GraphError,
     _check_order,
     _plain,
     complete_graph,
@@ -45,9 +44,11 @@ from .graphs import (
 )
 from .thresholds import (
     DegenerateConstructionError,
+    bound_sweep,
     build_extremal,
     lwy_threshold,
     prior_1factor_thresholds,
+    sweep_to_csv,
     threshold_params,
 )
 
@@ -355,22 +356,20 @@ def _cmd_verify_case2(args) -> int:
 
 
 def _cmd_verify_sweep(args) -> int:
-    from .verify import bound_sweep, sweep_to_csv
-
-    rows = bound_sweep(args.r_max)
-    _emit(sweep_to_csv(rows), args.output)
+    classes = bound_sweep(args.r_max)
+    _emit(sweep_to_csv(classes), args.output)
     # rho < lwy exactly when eta = 0, for every r: proved in
     # tests/test_thresholds.py::test_rho_beats_lwy_for_every_r
-    below = [row for row in rows if row.eta == 0]
+    below = [(c.r, b) for c in classes if c.eta == 0 for b, _, _ in c.rows]
     if below:
-        pairs = ", ".join(f"({row.r},{row.b})" for row in below[:8])
+        pairs = ", ".join(f"({r},{b})" for r, b in below[:8])
         more = "" if len(below) <= 8 else f" and {len(below) - 8} more"
         print(f"note: rho < lwy on {len(below)} rows (all eta=0): {pairs}{more}", file=sys.stderr)
-    bad_sharp = [row for row in rows if row.sharpness_ok is False]
-    for row in bad_sharp:
+    bad_sharp = [(c, b) for c in classes if c.sharpness_ok is False for b, _, _ in c.rows]
+    for c, b in bad_sharp:
         print(
-            f"sharpness violated at (r={row.r}, b={row.b}): "
-            f"lambda1={row.lambda1_H!r}, rho={row.rho!r}",
+            f"sharpness violated at (r={c.r}, b={b}): "
+            f"lambda1={c.lambda1_H!r}, rho={c.rho!r}",
             file=sys.stderr,
         )
     return EXIT_THEOREM if bad_sharp else EXIT_OK
@@ -426,7 +425,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (GraphError, DegenerateConstructionError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

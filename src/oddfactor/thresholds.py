@@ -11,6 +11,14 @@ threshold, and the extremal component whose largest eigenvalue equals
 rho(r, b). That component is K_order minus a sparse missing-pair set; only
 this module reads such a set, and it hands the set out checked, with the
 certified integer quotient of its degree classes.
+
+The bound table sets rho against the other bounds for every (r, b) up to
+r_max, one SweepClass per (r, eta) class: rho, the Lu-Wu-Yang bound and
+lambda_1 of the extremal component are computed once per class, and
+sweep_to_csv formats them once per class. lambda_1 is the certified root of
+the integer quotient, so a class's sharpness is an integer check: the table
+eigensolves nothing and compares no floats (the tests prove that rho < lwy
+exactly on its eta = 0 rows, for every r).
 """
 
 from __future__ import annotations
@@ -29,6 +37,10 @@ __all__ = [
     "prior_1factor_thresholds",
     "extremal_missing",
     "build_extremal",
+    "SweepClass",
+    "SWEEP_CSV_HEADER",
+    "bound_sweep",
+    "sweep_to_csv",
 ]
 
 
@@ -208,3 +220,68 @@ def build_extremal(p: ThresholdParams) -> Graph:
     """
     order, missing, _ = extremal_missing(p)
     return complete_minus(order, set(missing))
+
+
+SWEEP_CSV_HEADER = "r,b,ceil_rb,epsilon,eta,rho,lwy,cgh,bh,lambda1_H"
+
+
+class SweepClass(NamedTuple):
+    r: int
+    eta: int
+    rho: float
+    lwy: float
+    cgh: float
+    bh: float
+    lambda1_H: float | None  # None when the construction is degenerate
+    sharpness_ok: bool | None
+    rows: tuple  # (b, ceil_rb, epsilon) of each b of the class, b increasing
+
+
+def bound_sweep(r_max: int) -> list:
+    """One SweepClass per (r, eta) class with 3 <= r <= r_max, in (r, b)
+    order; its rows are the odd b < r with that eta, which are consecutive
+    since eta falls as b grows. Each row derives its own ceil(r/b), epsilon
+    and eta. The 1-factor bounds depend on r alone, and rho, lwy and
+    lambda1_H, the top root of the extremal component's integer quotient
+    that extremal_missing returns with the set it has checked, on (r, eta):
+    the first b of each class computes them from one ThresholdParams.
+
+    A class is sharp when that root is certified, which makes it rho
+    exactly. lambda1_H and the verdict stay None on degenerate constructions
+    (odd r, eta < 3), so a single offending class cannot take down the rest
+    of the sweep. An r_max whose largest component (order r_max + 1 +
+    r_max % 2) exceeds ORDER_MAX is refused.
+    """
+    if r_max < 3:
+        raise ValueError(f"r_max must be at least 3, got {r_max}")
+    _check_order(r_max + 1 + r_max % 2)
+    found = []
+    for r in range(3, r_max + 1):
+        bh, cgh = prior_1factor_thresholds(r)
+        last_eta = None
+        for b in range(1, r, 2):
+            ceil_rb, epsilon, eta = _eta_terms(r, b)
+            if eta != last_eta:
+                last_eta = eta
+                p = _params(r, b, ceil_rb, epsilon, eta)
+                try:
+                    lam1, sharp = extremal_missing(p)[2][2:]
+                except DegenerateConstructionError:
+                    lam1 = sharp = None
+                rows = []
+                found.append((r, eta, p.rho, lwy_threshold(p), cgh, bh, lam1, sharp, rows))
+            rows.append((b, ceil_rb, epsilon))
+    return [SweepClass(*head, tuple(rows)) for *head, rows in found]
+
+
+def sweep_to_csv(classes) -> str:
+    """The classes as CSV under SWEEP_CSV_HEADER, one line per row: the
+    integer columns as they are, every bound to 9 decimals, and an empty
+    lambda1_H cell where the construction is degenerate. Each class's
+    bounds are formatted once and shared by its rows."""
+    lines = [SWEEP_CSV_HEADER]
+    for c in classes:
+        lam1 = "" if c.lambda1_H is None else f"{c.lambda1_H:.9f}"
+        tail = f"{c.eta},{c.rho:.9f},{c.lwy:.9f},{c.cgh:.9f},{c.bh:.9f},{lam1}"
+        lines += [f"{c.r},{b},{ceil_rb},{epsilon},{tail}" for b, ceil_rb, epsilon in c.rows]
+    return "\n".join(lines) + "\n"

@@ -2,25 +2,17 @@
 
 Checks, at desk scale, the consequences the theory promises: the extremal
 construction attains rho(r, b) exactly; any regular even-order graph whose
-third eigenvalue sits below rho(r, b) yields a factor when searched; the
+third eigenvalue sits below rho(r, b) yields a factor when searched; and the
 minimal-component quotient polynomial is nonpositive at rho(r, b) across its
-whole parameter range; and the threshold compares against the earlier bounds
-over a full (r, b) sweep.
+whole parameter range.
 
-The sweep works per (r, eta) class: rho, the Lu-Wu-Yang bound and lambda_1 of
-the extremal component are computed once per class and shared by its rows, and
-the CSV formats each class's bounds once. It takes lambda_1 from the integer
-quotient of the component's degree-class partition, which thresholds reads off
-the missing-pair set and certifies by two integer equalities, so a row's
-sharpness is an integer check and the sweep eigensolves nothing (the tests
-prove that rho < lwy exactly on its eta = 0 rows, for every r). Only
-theorem_check, the campaign and sharpness_check eigensolve, all through
+Only theorem_check, the campaign and sharpness_check eigensolve, all through
 spectral.spectra; they import spectral, and with it numpy, when they run, so
-the sweep and the quotient-polynomial check start without numpy. The campaign
-streams its trials in blocks of 64, with one stacked eigensolve per vertex
-count in each block, and hands whole blocks to a process pool when it has more
-than one block and more than one job; theorem_check is the one-graph case of
-that block check.
+the quotient-polynomial check starts without numpy. The campaign streams its
+trials in blocks of 64, with one stacked eigensolve per vertex count in each
+block, and hands whole blocks to a process pool when it has more than one
+block and more than one job; theorem_check is the one-graph case of that
+block check.
 """
 
 from __future__ import annotations
@@ -31,20 +23,11 @@ from typing import NamedTuple
 
 from .factor import find_odd_factor
 from .graphs import Graph, _check_order, complete_minus, is_connected, serialize_edge_list
-from .thresholds import (
-    DegenerateConstructionError,
-    _eta_terms,
-    _params,
-    extremal_missing,
-    lwy_threshold,
-    prior_1factor_thresholds,
-    threshold_params,
-)
+from .thresholds import extremal_missing, threshold_params
 
 __all__ = [
     "GUARD",
     "TrialReport",
-    "SweepRow",
     "SharpnessReport",
     "Case2Report",
     "CampaignSummary",
@@ -53,18 +36,13 @@ __all__ = [
     "theorem_check",
     "sharpness_check",
     "case2_polynomial_check",
-    "bound_sweep",
-    "sweep_to_csv",
-    "SWEEP_CSV_HEADER",
     "randomized_theorem_campaign",
 ]
 
 # float comparisons sit on the conservative side of this band, far above solver
 # error. It guards only spectral.spectra's output (theorem_check, the campaign,
-# sharpness_check) and case2's closed-form verdict; the sweep compares no floats
+# sharpness_check) and case2's closed-form verdict
 GUARD = 1e-9
-
-SWEEP_CSV_HEADER = "r,b,ceil_rb,epsilon,eta,rho,lwy,cgh,bh,lambda1_H"
 
 
 class TheoremViolation(RuntimeError):
@@ -108,20 +86,6 @@ class Case2Report(NamedTuple):
     max_q_at_rho: float
     max_form_gap: float
     passed: bool
-
-
-class SweepRow(NamedTuple):
-    r: int
-    b: int
-    ceil_rb: int
-    epsilon: int
-    eta: int
-    rho: float
-    lwy: float
-    cgh: float
-    bh: float
-    lambda1_H: float | None  # None when the construction is degenerate
-    sharpness_ok: bool | None
 
 
 class CampaignSummary(NamedTuple):
@@ -345,61 +309,6 @@ def case2_polynomial_check(r: int, b: int) -> Case2Report:
         max_form_gap=max_gap,
         passed=max_q <= GUARD and max_gap <= GUARD,
     )
-
-
-def bound_sweep(r_max: int) -> list:
-    """One row per (r, b) with 3 <= r <= r_max and odd b < r, in that order:
-    every closed-form bound plus lambda1_H, the top root of the extremal
-    component's integer quotient, which thresholds.extremal_missing returns
-    with the set it has checked. Each row derives only its own ceil(r/b),
-    epsilon and eta. The 1-factor bounds depend on r alone, and rho, lwy, the
-    root and its verdict on (r, eta): the first b of each (r, eta) class
-    computes them from one ThresholdParams, and the class's rows share them.
-
-    A row is sharp when that root is certified, which makes it rho exactly.
-    lambda1_H stays None on degenerate constructions (odd r, eta < 3). Each
-    row records its own validation outcomes instead of raising, so a single
-    offending pair cannot take down the rest of the sweep. An r_max whose
-    largest component (order r_max + 1 + r_max % 2) exceeds ORDER_MAX is refused.
-    """
-    if r_max < 3:
-        raise ValueError(f"r_max must be at least 3, got {r_max}")
-    _check_order(r_max + 1 + r_max % 2)
-    rows = []
-    for r in range(3, r_max + 1):
-        bh, cgh = prior_1factor_thresholds(r)
-        last_eta = None
-        for b in range(1, r, 2):
-            ceil_rb, epsilon, eta = _eta_terms(r, b)
-            if eta != last_eta:
-                # the b of one class are consecutive, since eta falls as b grows
-                last_eta = eta
-                p = _params(r, b, ceil_rb, epsilon, eta)
-                rho, lwy = p.rho, lwy_threshold(p)
-                try:
-                    lam1, sharp = extremal_missing(p)[2][2:]
-                except DegenerateConstructionError:
-                    lam1 = sharp = None
-            rows.append(SweepRow(r, b, ceil_rb, epsilon, eta, rho, lwy, cgh, bh, lam1, sharp))
-    return rows
-
-
-def sweep_to_csv(rows) -> str:
-    """The rows as CSV under SWEEP_CSV_HEADER: the integer columns as they
-    are, every bound to 9 decimals, and an empty lambda1_H cell where the
-    construction is degenerate. The rows of one (r, eta) class share their
-    bounds, so each run of equal bounds is formatted once."""
-    lines = [SWEEP_CSV_HEADER]
-    last = tail = None
-    for row in rows:
-        bounds = row[5:10]
-        # 0.0 == -0.0 but they print differently, so a zero is never reused
-        if bounds != last or 0.0 in bounds:
-            rho, lwy, cgh, bh, lam1 = last = bounds
-            lam1 = "" if lam1 is None else f"{lam1:.9f}"
-            tail = f"{rho:.9f},{lwy:.9f},{cgh:.9f},{bh:.9f},{lam1}"
-        lines.append(f"{row.r},{row.b},{row.ceil_rb},{row.epsilon},{row.eta},{tail}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

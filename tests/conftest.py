@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
@@ -20,8 +21,7 @@ from oddfactor.graphs import (
     VertexRangeError,
     complete_minus,
 )
-from oddfactor.thresholds import extremal_missing, threshold_params
-from oddfactor.verify import SWEEP_CSV_HEADER
+from oddfactor.thresholds import SWEEP_CSV_HEADER, extremal_missing, threshold_params
 
 # edge-count guard of dfs_odd_factor, whose search is exponential in the edges
 DFS_MAX_EDGES = 64
@@ -670,9 +670,39 @@ def _fmt(x: float, digits: int = 9) -> str:
     return f"{x:.{digits}f}"
 
 
+class SweepRow(NamedTuple):
+    """One (r, b) row of the sweep table, with every bound of its class."""
+
+    r: int
+    b: int
+    ceil_rb: int
+    epsilon: int
+    eta: int
+    rho: float
+    lwy: float
+    cgh: float
+    bh: float
+    lambda1_H: float | None
+    sharpness_ok: bool | None
+
+
+def sweep_rows(classes) -> list:
+    """The SweepClass records of thresholds.bound_sweep expanded into one
+    SweepRow per (r, b), in their order, each a copy of its class's bounds."""
+    return [
+        SweepRow(
+            c.r, b, ceil_rb, epsilon, c.eta, c.rho, c.lwy, c.cgh, c.bh, c.lambda1_H, c.sharpness_ok
+        )
+        for c in classes
+        for b, ceil_rb, epsilon in c.rows
+    ]
+
+
 def oracle_sweep_csv(rows) -> str:
-    """The sweep's CSV, cell by cell, as verify.sweep_to_csv wrote it before
-    it formatted each row in one string: the reference for its bytes."""
+    """The sweep's CSV, cell by cell, from one record per (r, b) row, as the
+    table was written before thresholds.sweep_to_csv formatted each (r, eta)
+    class's bounds once: the reference for its bytes. Give it
+    sweep_rows(classes)."""
     lines = [SWEEP_CSV_HEADER]
     for row in rows:
         lines.append(

@@ -462,6 +462,20 @@ for argv in (
     subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
 
 
+def test_sweep_and_threshold_run_without_verify():
+    # the bound table lives in thresholds, beside the closed forms it compares
+    code = """
+import sys
+sys.modules["oddfactor.verify"] = None
+from oddfactor.cli import main
+for argv in (["verify", "sweep", "--r-max", "10"], ["threshold", "--r", "7", "--b", "3"]):
+    assert main(argv) == 0, argv
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+
+
 def test_refused_spectrum_input_exits_2_without_numpy():
     # the input is read and refused before spectral, and with it numpy, loads
     code = """
@@ -541,7 +555,7 @@ _ABOVE_THE_CAP = [
     (
         ("verify", "sweep", "--r-max", "2047"),
         None,
-        ["oddfactor.verify.prior_1factor_thresholds", "oddfactor.verify.extremal_missing"],
+        ["oddfactor.thresholds.prior_1factor_thresholds", "oddfactor.thresholds.extremal_missing"],
         2049,
     ),
     # case2 allocates nothing of that size; its loop runs about r times

@@ -7,13 +7,13 @@ from oddfactor.thresholds import (
     DegenerateConstructionError,
     R_MAX,
     _missing_quotient,
+    bound_sweep,
     build_extremal,
     extremal_missing,
     lwy_threshold,
     prior_1factor_thresholds,
     threshold_params,
 )
-from oddfactor.verify import bound_sweep
 from conftest import (
     ETA,
     R,
@@ -24,6 +24,7 @@ from conftest import (
     join,
     oracle_spectrum,
     quotient_roots,
+    sweep_rows,
 )
 
 SQRT2 = math.sqrt(2)
@@ -233,7 +234,7 @@ def test_missing_pair_matrix_matches_graph_oracle():
                 continue
             lam1[r, b] = oracle_spectrum(build_extremal(p))[0]
     assert len(lam1) == 609
-    rows = bound_sweep(60)
+    rows = sweep_rows(bound_sweep(60))
     assert len(rows) == 899
     for row in rows:
         if (row.r, row.b) not in lam1:
@@ -242,6 +243,25 @@ def test_missing_pair_matrix_matches_graph_oracle():
         assert row.lambda1_H == row.rho, (row.r, row.b)
         assert abs(row.lambda1_H - lam1[row.r, row.b]) <= 1e-12, (row.r, row.b)
         assert row.sharpness_ok, (row.r, row.b)
+
+
+def test_sweep_classes_cover_each_pair_once():
+    # the classes of one r hold its odd b < r once each, in order and in runs
+    # of consecutive b, with eta falling strictly from class to class, and
+    # every row derives the eta of its class
+    for r_max in [*range(3, 61), 200]:
+        by_r = {}
+        for c in bound_sweep(r_max):
+            bs = [b for b, _, _ in c.rows]
+            assert bs and bs == list(range(bs[0], bs[-1] + 1, 2)), (r_max, c.r, c.eta)
+            for b, ceil_rb, epsilon in c.rows:
+                assert ceil_rb - epsilon == c.eta, (r_max, c.r, b)
+            by_r.setdefault(c.r, []).append(c)
+        assert list(by_r) == list(range(3, r_max + 1)), r_max
+        for r, classes in by_r.items():
+            assert [b for c in classes for b, _, _ in c.rows] == list(range(1, r, 2)), (r_max, r)
+            etas = [c.eta for c in classes]
+            assert all(x > y for x, y in zip(etas, etas[1:])), (r_max, r)
 
 
 def test_check_missing_rejects_broken_sets():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from oddfactor import verify
+from oddfactor import thresholds, verify
 from oddfactor.cli import main
 from oddfactor.factor import (
     AmahashiViolation,
@@ -31,31 +31,31 @@ from oddfactor.graphs import (
 )
 from oddfactor.spectral import spectra
 from oddfactor.thresholds import (
+    SWEEP_CSV_HEADER,
     DegenerateConstructionError,
+    SweepClass,
     ThresholdParams,
     _missing_quotient,
+    bound_sweep,
     build_extremal,
     extremal_missing,
     lwy_threshold,
     prior_1factor_thresholds,
+    sweep_to_csv,
     threshold_params,
 )
 from oddfactor.verify import (
     GUARD,
-    SWEEP_CSV_HEADER,
     CampaignSummary,
     Case2Report,
     SharpnessReport,
-    SweepRow,
     TrialReport,
     _shuffle,
     _trial_seed,
-    bound_sweep,
     case2_polynomial_check,
     random_regular,
     randomized_theorem_campaign,
     sharpness_check,
-    sweep_to_csv,
     theorem_check,
 )
 from conftest import (
@@ -78,6 +78,7 @@ from conftest import (
     quartic_no_matching_22,
     quotient_roots,
     sharp_graph,
+    sweep_rows,
 )
 
 
@@ -372,13 +373,15 @@ UNEQUAL_5_1 = [
 
 @pytest.mark.parametrize("missing, rows", UNEQUAL_5_1)
 def test_failed_certificate_breaks_sharpness(missing, rows, monkeypatch, capsys):
-    real = verify.extremal_missing
+    real = thresholds.extremal_missing
 
     def fake(p):
         return (7, missing, _missing_quotient(p, 7, missing)) if (p.r, p.b) == (5, 1) else real(p)
 
+    # the sweep reads it from thresholds, sharpness_check from verify
+    monkeypatch.setattr(thresholds, "extremal_missing", fake)
     monkeypatch.setattr(verify, "extremal_missing", fake)
-    by_pair = {(row.r, row.b): row for row in bound_sweep(5)}
+    by_pair = {(row.r, row.b): row for row in sweep_rows(bound_sweep(5))}
     assert by_pair[5, 1].sharpness_ok is False
     assert all(row.sharpness_ok is not False for pair, row in by_pair.items() if pair != (5, 1))
     assert main(["verify", "sweep", "--r-max", "5"]) == 4
@@ -401,7 +404,7 @@ def test_failed_certificate_breaks_sharpness(missing, rows, monkeypatch, capsys)
 
 def test_one_block_certificate():
     # eta = 0: the extremal graph is K_{r+1}, one block whose entry is r
-    row = {(row.r, row.b): row for row in bound_sweep(4)}[4, 3]
+    row = {(row.r, row.b): row for row in sweep_rows(bound_sweep(4))}[4, 3]
     assert row.eta == 0
     assert row.lambda1_H == 4.0 and row.sharpness_ok is True
     p = threshold_params(4, 3)
@@ -505,7 +508,7 @@ def test_case2_holds_for_every_odd_r():
 
 
 def test_bound_sweep_rows():
-    rows = bound_sweep(12)
+    rows = sweep_rows(bound_sweep(12))
     assert len(rows) == sum(len(range(1, r, 2)) for r in range(3, 13))
     by_pair = {(row.r, row.b): row for row in rows}
 
@@ -531,26 +534,25 @@ def test_bound_sweep_lwy_comparison_structure():
     # rho > lwy wherever eta >= 1; the eta = 0 rows fall short by exactly
     # the additive correction in the older bound (test_thresholds.py proves
     # both for every r)
-    rows = bound_sweep(20)
-    for row in rows:
-        if row.eta >= 1:
-            assert row.rho > row.lwy, (row.r, row.b)
+    for c in bound_sweep(20):
+        if c.eta >= 1:
+            assert c.rho > c.lwy, (c.r, c.eta)
         else:
-            assert row.rho < row.lwy
-            assert abs((row.lwy - row.rho) - 1 / ((row.r + 1) * (row.r + 2))) < 1e-12
+            assert c.rho < c.lwy
+            assert abs((c.lwy - c.rho) - 1 / ((c.r + 1) * (c.r + 2))) < 1e-12
 
 
 def test_bound_sweep_sharpness_all_ok():
-    for row in bound_sweep(60):
-        assert row.sharpness_ok is (None if row.lambda1_H is None else True)
+    for c in bound_sweep(60):
+        assert c.sharpness_ok is (None if c.lambda1_H is None else True)
 
 
 def test_sweep_csv_format():
-    rows = bound_sweep(5)
-    text = sweep_to_csv(rows)
+    classes = bound_sweep(5)
+    text = sweep_to_csv(classes)
     lines = text.strip().split("\n")
     assert lines[0] == SWEEP_CSV_HEADER
-    assert len(lines) == 1 + len(rows)
+    assert len(lines) == 1 + sum(len(c.rows) for c in classes) == 1 + 5
     # (3,1) row has an empty lambda1 cell
     cells = lines[1].split(",")
     assert cells[0] == "3" and cells[1] == "1" and cells[-1] == ""
@@ -581,8 +583,8 @@ def test_sweep_matches_benchmark_reference():
 
 def test_sweep_csv_matches_the_cell_by_cell_oracle():
     for r_max in [*range(3, 61), 200]:
-        rows = bound_sweep(r_max)
-        assert sweep_to_csv(rows) == oracle_sweep_csv(rows), r_max
+        classes = bound_sweep(r_max)
+        assert sweep_to_csv(classes) == oracle_sweep_csv(sweep_rows(classes)), r_max
 
 
 def test_bound_sweep_rows_match_a_per_pair_oracle():
@@ -613,7 +615,7 @@ def test_bound_sweep_rows_match_a_per_pair_oracle():
                     sharpness_ok=sharp,
                 )
             )
-    rows = bound_sweep(60)
+    rows = sweep_rows(bound_sweep(60))
     assert [row._asdict() for row in rows] == want
     assert [[type(x) for x in row] for row in rows] == [
         [type(x) for x in w.values()] for w in want
@@ -629,12 +631,9 @@ RECORDS = [
         ("r", "b", "ceil_rb", "epsilon", "eta", "parity_case", "parity_offset", "rho"),
     ),
     (
-        SweepRow,
+        SweepClass,
         lambda: bound_sweep(4)[1],
-        (
-            "r", "b", "ceil_rb", "epsilon", "eta", "rho", "lwy", "cgh", "bh",
-            "lambda1_H", "sharpness_ok",
-        ),
+        ("r", "eta", "rho", "lwy", "cgh", "bh", "lambda1_H", "sharpness_ok", "rows"),
     ),
     (FactorCertificate, lambda: find_odd_factor(cycle_graph(6), 1), ("edges", "degrees")),
     (
@@ -696,14 +695,16 @@ def test_records_are_immutable_named_tuples(record, make, fields):
 
 
 def test_sweep_csv_never_shares_a_tail_between_signed_zeros():
-    # 0.0 == -0.0, but they print differently
-    row = bound_sweep(4)[1]
-    rows = [row._replace(rho=z, lwy=z) for z in (0.0, -0.0, -0.0, 0.0)]
-    text = sweep_to_csv(rows)
+    # 0.0 == -0.0, but they print differently: each class prints its own
+    # sign, on every one of its rows
+    c = bound_sweep(10)[-1]
+    assert (c.r, c.eta, [row[0] for row in c.rows]) == (10, 0, [5, 7, 9])
+    classes = [c._replace(rho=z, lwy=z) for z in (0.0, -0.0, -0.0, 0.0)]
+    text = sweep_to_csv(classes)
     assert [line.split(",")[5] for line in text.splitlines()[1:]] == [
-        "0.000000000", "-0.000000000", "-0.000000000", "0.000000000",
+        *["0.000000000"] * 3, *["-0.000000000"] * 6, *["0.000000000"] * 3,
     ]
-    assert text == oracle_sweep_csv(rows)
+    assert text == oracle_sweep_csv(sweep_rows(classes))
 
 
 def test_bound_sweep_rejects_small_r_max():
@@ -940,7 +941,7 @@ def test_order_cap_in_the_verify_checks(monkeypatch):
     # each check refuses an order above ORDER_MAX = 2048 before its work
     # starts, and starts it at the cap: the sweep's largest component at
     # r_max 2046 has 2047 vertices, at 2047 it has 2049
-    monkeypatch.setattr(verify, "prior_1factor_thresholds", _started)
+    monkeypatch.setattr(thresholds, "prior_1factor_thresholds", _started)
     with pytest.raises(_Started):
         bound_sweep(2046)
     with pytest.raises(VertexRangeError, match="^order 2049 exceeds the cap ORDER_MAX = 2048$"):
