@@ -143,8 +143,6 @@ def find_odd_factor(g: Graph, b: int):
     """
     _check_b(b)
     n = g.n
-    if n == 0:
-        return FactorCertificate(edges=())
     if n % 2 == 1 or not all(g.adj):
         # odd vertex count cannot have all degrees odd; isolated vertices
         # cannot reach degree 1

@@ -6,7 +6,8 @@ edges with u < v, and one sorted adjacency tuple per vertex, built from it,
 which also answers edge queries. The builders here and the edge-list parser
 each return a new value; nothing mutates a graph after __init__. Graph
 algebra such as complements, joins and vertex deletion lives in the tests,
-where it serves as an oracle.
+where it serves as an oracle. Every input fault raises GraphError, a
+ValueError whose message names the fault.
 """
 
 from __future__ import annotations
@@ -19,11 +20,6 @@ __all__ = [
     "ORDER_MAX",
     "Graph",
     "GraphError",
-    "MalformedHeaderError",
-    "MalformedEdgeError",
-    "VertexRangeError",
-    "SelfLoopError",
-    "DuplicateEdgeError",
     "complete_graph",
     "complete_minus",
     "cycle_graph",
@@ -37,27 +33,7 @@ __all__ = [
 
 
 class GraphError(ValueError):
-    """Base class for graph construction and parsing errors."""
-
-
-class MalformedHeaderError(GraphError):
-    pass
-
-
-class MalformedEdgeError(GraphError):
-    pass
-
-
-class VertexRangeError(GraphError):
-    pass
-
-
-class SelfLoopError(GraphError):
-    pass
-
-
-class DuplicateEdgeError(GraphError):
-    pass
+    """Every graph construction and parsing fault; the message names it."""
 
 
 # the largest order a header or CLI argument may name. Extremal components have
@@ -68,8 +44,17 @@ ORDER_MAX = 2048
 
 def _check_order(n: int) -> int:
     if n > ORDER_MAX:
-        raise VertexRangeError(f"order {n} exceeds the cap ORDER_MAX = {ORDER_MAX}")
+        raise GraphError(f"order {n} exceeds the cap ORDER_MAX = {ORDER_MAX}")
     return n
+
+
+def _edge(u: int, v: int, n: int) -> tuple:
+    """(min, max) of the edge uv; raises on a loop or an end outside 0..n-1."""
+    if u == v:
+        raise GraphError(f"self-loop at vertex {u}")
+    if not (0 <= u < n) or not (0 <= v < n):
+        raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+    return (u, v) if u < v else (v, u)
 
 
 class Graph:
@@ -85,22 +70,16 @@ class Graph:
         try:
             n = operator.index(n)
         except TypeError:
-            raise VertexRangeError(f"vertex count must be an integer, got {n!r}") from None
+            raise GraphError(f"vertex count must be an integer, got {n!r}") from None
         if n < 0:
-            raise VertexRangeError(f"vertex count must be nonnegative, got {n}")
+            raise GraphError(f"vertex count must be nonnegative, got {n}")
         canon = set()
         for e in edges:
             try:
                 u, v = map(operator.index, e)
             except (TypeError, ValueError):
-                raise MalformedEdgeError(f"edge {e!r} is not a pair of integers") from None
-            if u == v:
-                raise SelfLoopError(f"self-loop at vertex {u}")
-            if not (0 <= u < n) or not (0 <= v < n):
-                raise VertexRangeError(f"edge ({u},{v}) out of range for n={n}")
-            if u > v:
-                u, v = v, u
-            canon.add((u, v))
+                raise GraphError(f"edge {e!r} is not a pair of integers") from None
+            canon.add(_edge(u, v, n))
         self._fill(n, sorted(canon))
 
     @classmethod
@@ -222,22 +201,22 @@ def parse_edge_list(text: str) -> Graph:
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
-        raise MalformedHeaderError("empty input")
+        raise GraphError("empty input")
     head = lines[0].split()
     if len(head) != 2:
-        raise MalformedHeaderError(f"header must be 'n m', got {lines[0]!r}")
+        raise GraphError(f"header must be 'n m', got {lines[0]!r}")
     try:
         if not (plain or _plain(lines[0])):
             raise ValueError
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise MalformedHeaderError(f"header must be two integers, got {lines[0]!r}") from None
+        raise GraphError(f"header must be two integers, got {lines[0]!r}") from None
     if n < 0 or m < 0:
-        raise MalformedHeaderError(f"header values must be nonnegative, got {lines[0]!r}")
+        raise GraphError(f"header values must be nonnegative, got {lines[0]!r}")
     _check_order(n)
     body = lines[1:]
     if len(body) != m:
-        raise MalformedEdgeError(f"expected {m} edge lines, found {len(body)}")
+        raise GraphError(f"expected {m} edge lines, found {len(body)}")
     # labels spelled as str(v) are looked up in bulk; any other spelling and
     # every fault go to the line scan, which names the first fault. Only plain
     # text qualifies: str.split() also splits on U+00A0, which the scan rejects
@@ -266,20 +245,16 @@ def _scan_edges(body: list, n: int, plain: bool) -> Graph:
     for line in body:
         toks = line.split()
         if len(toks) != 2:
-            raise MalformedEdgeError(f"edge line must be 'u v', got {line!r}")
+            raise GraphError(f"edge line must be 'u v', got {line!r}")
         try:
             if not (plain or _plain(line)):
                 raise ValueError
             u, v = int(toks[0]), int(toks[1])
         except ValueError:
-            raise MalformedEdgeError(f"edge line must be two integers, got {line!r}") from None
-        if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise VertexRangeError(f"edge ({u},{v}) out of range for n={n}")
-        key = (min(u, v), max(u, v))
+            raise GraphError(f"edge line must be two integers, got {line!r}") from None
+        key = _edge(u, v, n)
         if key in seen:
-            raise DuplicateEdgeError(f"duplicate edge {key}")
+            raise GraphError(f"duplicate edge {key}")
         seen.add(key)
         edges.append(key)
     return Graph._canonical(n, sorted(edges))

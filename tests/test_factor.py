@@ -127,7 +127,9 @@ def test_find_odd_factor_guards():
 
 
 def test_find_odd_factor_trivial_graphs():
-    assert find_odd_factor(empty_graph(0), 1) == FactorCertificate((), ())
+    # the graph on no vertices takes the general path to the empty factor
+    for b in (1, 3, 5):
+        assert find_odd_factor(empty_graph(0), b) == FactorCertificate((), ())
     assert find_odd_factor(empty_graph(2), 1) is None  # isolated vertices
     assert find_odd_factor(complete_graph(2), 1) is not None
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from oddfactor.graphs import VertexRangeError, complete_graph, cycle_graph, matching_complement
+from oddfactor.graphs import GraphError, complete_graph, cycle_graph, matching_complement
 from oddfactor.thresholds import (
     DegenerateConstructionError,
     R_MAX,
@@ -136,14 +136,14 @@ def test_extremal_order_cap(monkeypatch):
     # refused with the order message even where the construction would be
     # degenerate (r = 2047, b = 2045 gives eta = 1)
     for b in (1, 2045):
-        with pytest.raises(VertexRangeError, match="^order 2049 exceeds the cap"):
+        with pytest.raises(GraphError, match="^order 2049 exceeds the cap"):
             extremal_missing(threshold_params(2047, b))
 
     def must_not_run(*args):
         raise AssertionError("an order above ORDER_MAX reached complete_minus")
 
     monkeypatch.setattr("oddfactor.thresholds.complete_minus", must_not_run)
-    with pytest.raises(VertexRangeError, match="^order 2049 exceeds the cap"):
+    with pytest.raises(GraphError, match="^order 2049 exceeds the cap"):
         build_extremal(threshold_params(2048, 1))
 
 

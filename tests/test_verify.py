@@ -23,7 +23,7 @@ from oddfactor.factor import (
 )
 from oddfactor.graphs import (
     Graph,
-    VertexRangeError,
+    GraphError,
     complete_graph,
     complete_minus,
     cycle_graph,
@@ -944,16 +944,16 @@ def test_order_cap_in_the_verify_checks(monkeypatch):
     monkeypatch.setattr(thresholds, "prior_1factor_thresholds", _started)
     with pytest.raises(_Started):
         bound_sweep(2046)
-    with pytest.raises(VertexRangeError, match="^order 2049 exceeds the cap ORDER_MAX = 2048$"):
+    with pytest.raises(GraphError, match="^order 2049 exceeds the cap ORDER_MAX = 2048$"):
         bound_sweep(2047)
     assert case2_polynomial_check(2045, 1).passed
-    with pytest.raises(VertexRangeError, match="^order 2049 exceeds the cap"):
+    with pytest.raises(GraphError, match="^order 2049 exceeds the cap"):
         case2_polynomial_check(2047, 1)
     monkeypatch.setattr(verify, "random_regular", _started)
     with pytest.raises(_Started):
         randomized_theorem_campaign(1, n_range=(2048, 2049))
     for trials in (1, 0):
-        with pytest.raises(VertexRangeError, match="^order 2050 exceeds the cap"):
+        with pytest.raises(GraphError, match="^order 2050 exceeds the cap"):
             randomized_theorem_campaign(trials, n_range=(8, 2050))
 
 
