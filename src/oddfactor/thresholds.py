@@ -94,9 +94,6 @@ def threshold_params(r: int, b: int) -> ThresholdParams:
 def _params(r: int, b: int, ceil_rb: int, epsilon: int, eta: int) -> ThresholdParams:
     """threshold_params(r, b) from the _eta_terms(r, b) a caller already holds."""
     x = r % 2
-    # eta inherits the parity of r
-    if eta % 2 != x:
-        raise AssertionError(f"eta parity broken at r={r}, b={b}")
     rho = (r - 2 - x + math.sqrt((r + 2 + x) ** 2 - 4 * eta)) / 2
     return ThresholdParams(
         r, b, ceil_rb, epsilon, eta, f"{_parity(r)}-{_parity(ceil_rb)}", x, rho
@@ -181,12 +178,8 @@ def _missing_quotient(p: ThresholdParams, order: int, missing) -> tuple:
             raise AssertionError(f"extremal missing pair {(u, v)} is not u < v < {order}")
         lost[u] += 1
         lost[v] += 1
-    if order * (order - 1) - 2 * len(missing) != r * order - eta:
-        raise AssertionError(
-            f"extremal graph would have {order * (order - 1) // 2 - len(missing)} edges, "
-            f"expected {(r * order - eta) / 2}"
-        )
-    # the eta vertices of degree r - 1 miss order - r pairs, the rest one fewer
+    # the eta vertices of degree r - 1 miss order - r pairs, the rest one fewer;
+    # that profile fixes the edge count, since the pairs lost sum to 2|missing|
     if lost.count(order - r) != eta or lost.count(order - 1 - r) != order - eta:
         degs = sorted(order - 1 - k for k in lost)
         raise AssertionError(f"extremal degree profile broken: {degs}")

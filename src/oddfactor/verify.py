@@ -12,7 +12,10 @@ the quotient-polynomial check starts without numpy. The campaign streams its
 trials in blocks of 64, with one stacked eigensolve per vertex count in each
 block, and hands whole blocks to a process pool when it has more than one
 block and more than one job; theorem_check is the one-graph case of that
-block check.
+block check. The block check is the one place that decides a contradiction
+of the theorem: an applicable trial without a factor raises TheoremViolation
+there, with the graph it checked, and a campaign block returns only its
+count of applicable trials.
 """
 
 from __future__ import annotations
@@ -60,8 +63,7 @@ class TrialReport(NamedTuple):
     seed: int | None
     lambda3: float
     rho: float
-    implication_applicable: bool
-    factor_found: bool | None  # None when the implication did not apply
+    implication_applicable: bool  # True: a factor was found; False: none was searched
 
 
 class SharpnessReport(NamedTuple):
@@ -192,16 +194,19 @@ def theorem_check(g: Graph, b: int, seed: int | None = None) -> TrialReport:
     """Evaluate the factor implication on one regular even-order graph.
 
     Computes lambda_3 and rho(r, b); when the graph is connected and
-    lambda_3 < rho - GUARD the factor search runs and its outcome is
-    recorded. Otherwise the implication is silent and no search happens.
-    This is the one-graph case of the campaign's block check.
+    lambda_3 < rho - GUARD the factor search runs, and finding no factor
+    raises TheoremViolation with the graph. Otherwise the implication is
+    silent and no search happens. This is the one-graph case of the
+    campaign's block check.
     """
     return _check_block([(g, b, seed)])[0]
 
 
 def _check_block(trials: list) -> list:
     """theorem_check of each (graph, b, seed) in trials, with every graph
-    validated first and then one stacked eigensolve per vertex count."""
+    validated first and then one stacked eigensolve per vertex count. The
+    first applicable trial, in trial order, whose search finds no factor
+    raises TheoremViolation with that graph, and no later trial is searched."""
     from .spectral import spectra
 
     params = []
@@ -216,9 +221,12 @@ def _check_block(trials: list) -> list:
     for (g, b, seed), (r, rho), spec in zip(trials, params, spectra(t[0] for t in trials)):
         lam3 = spec[2]
         applicable = lam3 < rho - GUARD and is_connected(g)
-        found = None
-        if applicable:
-            found = find_odd_factor(g, b) is not None
+        if applicable and find_odd_factor(g, b) is None:
+            raise TheoremViolation(
+                f"applicable trial without factor: n={g.n}, r={r}, b={b}, "
+                f"seed={seed}, lambda3={lam3!r}, rho={rho!r}",
+                graph_text=serialize_edge_list(g),
+            )
         reports.append(
             TrialReport(
                 r=r,
@@ -228,7 +236,6 @@ def _check_block(trials: list) -> list:
                 lambda3=lam3,
                 rho=rho,
                 implication_applicable=applicable,
-                factor_found=found,
             )
         )
     return reports
@@ -241,9 +248,10 @@ def sharpness_check(r: int, b: int) -> SharpnessReport:
     Two checks: the top eigenvalue, solved independently of the quotient,
     lies within GUARD of rho, and the integer quotient is certified, which
     requires an equitable partition and makes its root rho exactly;
-    extremal_missing has already checked the edge count and the degree
-    profile. Raises DegenerateConstructionError when no construction exists
-    (odd r with eta < 3).
+    extremal_missing has already checked that the missing pairs are
+    distinct and in range, and the degree profile they leave. Raises
+    DegenerateConstructionError when no construction exists (odd r with
+    eta < 3).
     """
     from .spectral import spectra
 
@@ -343,28 +351,12 @@ def _campaign_graph(args) -> tuple:
     return random_regular(n, r, seed=seed), b, seed
 
 
-def _campaign_block(block: tuple) -> list:
-    """The reports of trials start to stop - 1, one block of a campaign."""
+def _campaign_block(block: tuple) -> int:
+    """The number of applicable trials among trials start to stop - 1, one
+    block of a campaign; the block check raises at its first counterexample."""
     master_seed, start, stop, *ranges = block
-    return _check_block([_campaign_graph((master_seed, i, *ranges)) for i in range(start, stop)])
-
-
-def _tally(trials: int, done) -> CampaignSummary:
-    """Count the reports of each block done yields, raising at the first
-    applicable trial without a factor, before the next block is read."""
-    applicable = 0
-    for reports in done:
-        for rep in reports:
-            if rep.implication_applicable and not rep.factor_found:
-                g = random_regular(rep.n, rep.r, seed=rep.seed)
-                raise TheoremViolation(
-                    f"applicable trial without factor: n={rep.n}, r={rep.r}, b={rep.b}, "
-                    f"seed={rep.seed}, lambda3={rep.lambda3!r}, rho={rep.rho!r}",
-                    graph_text=serialize_edge_list(g),
-                )
-            applicable += rep.implication_applicable
-    # every applicable trial found a factor, or the loop above raised
-    return CampaignSummary(trials, applicable, applicable, trials - applicable)
+    trials = [_campaign_graph((master_seed, i, *ranges)) for i in range(start, stop)]
+    return sum(rep.implication_applicable for rep in _check_block(trials))
 
 
 def randomized_theorem_campaign(
@@ -380,12 +372,13 @@ def randomized_theorem_campaign(
 
     Each trial derives its parameters and generator seed from (master_seed,
     index), so the outcome is reproducible and independent of worker count.
-    Blocks are generated as they are checked, and their reports are counted
-    and dropped. The arguments are checked before any trial runs: r_range
-    must be non-empty with r >= 3, n_range must hold an even n above the
-    largest r and none above ORDER_MAX, and b_policy must be "random",
-    "unit" or "max". The first applicable trial without a factor ends the
-    campaign after its block with a TheoremViolation carrying a reproducer.
+    Blocks are generated as they are checked, and each hands back only its
+    count of applicable trials. The arguments are checked before any trial
+    runs: r_range must be non-empty with r >= 3, n_range must hold an even n
+    above the largest r and none above ORDER_MAX, and b_policy must be
+    "random", "unit" or "max". The first applicable trial without a factor
+    ends the campaign with a TheoremViolation carrying its graph, once the
+    blocks before its own are counted.
     """
     n_lo, n_hi = n_range
     r_lo, r_hi = r_range
@@ -415,5 +408,8 @@ def randomized_theorem_campaign(
         # leaving the with block, after the last or on a raise, terminates it
         workers = min(jobs, len(starts), os.cpu_count() or 1)
         with multiprocessing.Pool(workers) as pool:
-            return _tally(trials, pool.imap(_campaign_block, blocks))
-    return _tally(trials, map(_campaign_block, blocks))
+            applicable = sum(pool.imap(_campaign_block, blocks))
+    else:
+        applicable = sum(map(_campaign_block, blocks))
+    # every applicable trial found a factor, or its block raised
+    return CampaignSummary(trials, applicable, applicable, trials - applicable)

@@ -646,14 +646,19 @@ def campaign_reports(
     trials: int, n_range=(8, 20), r_range=(3, 7), b_policy="random", master_seed=0
 ) -> list:
     """The TrialReport of every trial of randomized_theorem_campaign with these
-    arguments, in trial order: verify._campaign_block over the campaign's
-    blocks, whose reports the campaign itself only counts."""
+    arguments, in trial order: each of the campaign's blocks drawn with
+    verify._campaign_graph and checked with verify._check_block, whose
+    reports the campaign itself only counts."""
     step = verify._CAMPAIGN_BLOCK
+    ranges = (*n_range, *r_range, b_policy)
     return [
         rep
         for start in range(0, trials, step)
-        for rep in verify._campaign_block(
-            (master_seed, start, min(start + step, trials), *n_range, *r_range, b_policy)
+        for rep in verify._check_block(
+            [
+                verify._campaign_graph((master_seed, i, *ranges))
+                for i in range(start, min(start + step, trials))
+            ]
         )
     ]
 

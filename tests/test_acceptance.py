@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from oddfactor.factor import check_amahashi, find_odd_factor
+from oddfactor.factor import check_amahashi, find_odd_factor, verify_certificate
 from oddfactor.graphs import Graph
 from oddfactor.spectral import spectra
 from oddfactor.thresholds import (
@@ -183,11 +183,12 @@ def test_criterion_6_theorem_campaign():
         500, n_range=(8, 20), r_range=(3, 7), b_policy="random", master_seed=20260810
     )
     pet = theorem_check(petersen_graph(), 1)
+    pet_cert = verify_certificate(petersen_graph(), 1, find_odd_factor(petersen_graph(), 1))
     pet_ok = (
         abs(pet.lambda3 - 1.0) < 1e-9
         and abs(pet.rho - 2 * math.sqrt(2)) < 1e-12
         and pet.implication_applicable
-        and pet.factor_found is True
+        and pet_cert.ok
     )
     ok = (
         summary.trials == 500
@@ -199,7 +200,7 @@ def test_criterion_6_theorem_campaign():
         6,
         ok,
         f"500 trials: {summary.applicable} applicable, all factored; "
-        f"petersen lambda3={pet.lambda3:.9f} < rho={pet.rho:.9f}, matching found={pet.factor_found}",
+        f"petersen lambda3={pet.lambda3:.9f} < rho={pet.rho:.9f}, matching certified={pet_cert.ok}",
     )
 
 

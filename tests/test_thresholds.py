@@ -1,4 +1,6 @@
 import math
+import random
+import re
 
 import pytest
 
@@ -52,7 +54,7 @@ def test_threshold_params_errors():
 
 
 def test_eta_parity_follows_r():
-    for r in range(3, 31):
+    for r in range(3, 201):
         for b in range(1, r, 2):
             p = threshold_params(r, b)
             assert p.eta % 2 == r % 2
@@ -275,11 +277,29 @@ def test_check_missing_rejects_broken_sets():
         (good[:-1] + [(6, 5)], r"extremal missing pair \(6, 5\) is not u < v < 7"),
         (good[:-1] + [(5, 7)], r"extremal missing pair \(5, 7\) is not u < v < 7"),
         (good[:-1] + [(-1, 5)], r"extremal missing pair \(-1, 5\) is not u < v < 7"),
-        (good[:-1], r"extremal graph would have 17 edges, expected 16\.0"),
+        (good[:-1], r"^extremal degree profile broken: \[4, 4, 4, 5, 5, 6, 6\]$"),
         (good[:-1] + [(3, 5)], r"extremal degree profile broken: \[4, 4, 4, 4, 5, 5, 6\]"),
     ):
         with pytest.raises(AssertionError, match=message):
             _missing_quotient(p, 7, broken)
+    # distinct in-range pairs with the wrong edge count always break the
+    # degree profile, since the pairs lost sum to twice their number
+    rng = random.Random(30)
+    for _ in range(600):
+        r = rng.randrange(3, 16)
+        p = threshold_params(r, rng.randrange(1, r, 2))
+        order = r + 1 + p.parity_offset
+        pairs = [(u, v) for u in range(order) for v in range(u + 1, order)]
+        right = (order * (order - 1) - r * order + p.eta) // 2
+        k = rng.choice([k for k in range(len(pairs) + 1) if k != right])
+        broken = rng.sample(pairs, k)
+        degs = [order - 1] * order
+        for u, v in broken:
+            degs[u] -= 1
+            degs[v] -= 1
+        profile = re.escape(str(sorted(degs)))
+        with pytest.raises(AssertionError, match=f"^extremal degree profile broken: {profile}$"):
+            _missing_quotient(p, order, broken)
 
 
 def test_build_extremal_degenerate_cases():

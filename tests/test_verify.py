@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import random
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -177,14 +178,28 @@ def test_theorem_check_petersen():
     assert rep.r == 3 and rep.n == 10 and rep.seed == 11
     assert abs(rep.lambda3 - 1.0) < 1e-9
     assert abs(rep.rho - 2 * math.sqrt(2)) < 1e-12
+    # an applicable report comes back only when the search found a factor
     assert rep.implication_applicable
-    assert rep.factor_found is True
+    assert verify_certificate(petersen_graph(), 1, find_odd_factor(petersen_graph(), 1))
 
 
 def test_theorem_check_k4():
     rep = theorem_check(complete_graph(4), 1)
     assert abs(rep.lambda3 + 1.0) < 1e-9
-    assert rep.implication_applicable and rep.factor_found
+    assert rep.implication_applicable
+    assert verify_certificate(complete_graph(4), 1, find_odd_factor(complete_graph(4), 1))
+
+
+def test_theorem_check_raises_on_an_applicable_graph_without_factor(monkeypatch):
+    # a decider that finds nothing makes the applicable Petersen graph a
+    # counterexample, raised where it is decided, with the graph checked
+    monkeypatch.setattr(verify, "find_odd_factor", lambda g, b: None)
+    with pytest.raises(
+        verify.TheoremViolation,
+        match=r"^applicable trial without factor: n=10, r=3, b=1, seed=None, lambda3=",
+    ) as info:
+        theorem_check(petersen_graph(), 1)
+    assert info.value.graph_text == serialize_edge_list(petersen_graph())
 
 
 def test_theorem_check_rejects_low_degree():
@@ -202,19 +217,19 @@ def test_theorem_check_rejects_irregular():
         theorem_check(Graph(4, [(0, 1), (1, 2), (2, 3)]), 1)
 
 
-def test_theorem_check_inapplicable_when_lambda3_large():
+def test_theorem_check_inapplicable_when_lambda3_large(monkeypatch):
     # no factor exists, so lambda3 must sit at or above rho and no search runs
+    monkeypatch.setattr(verify, "find_odd_factor", _started)
     rep = theorem_check(cubic_no_matching_16(), 1)
     assert not rep.implication_applicable
-    assert rep.factor_found is None
 
 
-def test_theorem_check_inapplicable_when_disconnected():
+def test_theorem_check_inapplicable_when_disconnected(monkeypatch):
     # K5 + K5 has lambda3 = -1 < rho(4, 1) but no perfect matching
+    monkeypatch.setattr(verify, "find_odd_factor", _started)
     rep = theorem_check(disjoint_union([complete_graph(5), complete_graph(5)]), 1)
     assert abs(rep.lambda3 + 1.0) < 1e-9
     assert not rep.implication_applicable
-    assert rep.factor_found is None
 
 
 def test_contrapositive_cubic_witness():
@@ -410,7 +425,8 @@ def test_one_block_certificate():
     p = threshold_params(4, 3)
     assert extremal_missing(p)[2] == (True, [[4]], 4.0, True)
     # K_5 is not the shape of (3, 1), so the shape check rejects it
-    with pytest.raises(AssertionError, match="edges, expected"):
+    profile = r"^extremal degree profile broken: \[4, 4, 4, 4, 4\]$"
+    with pytest.raises(AssertionError, match=profile):
         _missing_quotient(threshold_params(3, 1), 5, ())
     # a shape-valid single block whose entry is not r does not certify: the
     # 7-cycle leaves K_7 4-regular, the shape of r = 5 with eta = 7
@@ -423,7 +439,8 @@ def test_certificate_rejects_another_pairs_quotient():
     # the extremal set of (11, 1), eta = 9, does not have the shape of
     # (11, 3), eta = 3, so the shape check rejects it before any quotient
     order, missing, _ = extremal_missing(threshold_params(11, 1))
-    with pytest.raises(AssertionError, match="edges, expected"):
+    profile = re.escape(str([10] * 9 + [11] * 4))
+    with pytest.raises(AssertionError, match=f"^extremal degree profile broken: {profile}$"):
         _missing_quotient(threshold_params(11, 3), order, missing)
     # a shape-valid equitable set whose quotient has the wrong trace: K_9
     # minus a 2-star from each of 0, 1, 2 into 3..8 has eta = 3 vertices of
@@ -650,10 +667,7 @@ RECORDS = [
     (
         TrialReport,
         lambda: theorem_check(complete_graph(6), 1),
-        (
-            "r", "b", "n", "seed", "lambda3", "rho", "implication_applicable",
-            "factor_found",
-        ),
+        ("r", "b", "n", "seed", "lambda3", "rho", "implication_applicable"),
     ),
     (
         SharpnessReport,
@@ -728,14 +742,16 @@ def test_campaign_counts_and_invariant(capsys):
     assert summary.applicable == sum(rep.implication_applicable for rep in reports)
     for rep in reports:
         if rep.implication_applicable:
-            assert rep.factor_found is True
+            g = random_regular(rep.n, rep.r, seed=rep.seed)
+            assert verify_certificate(g, rep.b, find_odd_factor(g, rep.b))
         assert rep.n % 2 == 0 and 3 <= rep.r <= 7
         assert rep.b % 2 == 1 and rep.b < rep.r
 
 
 def test_campaign_raises_with_reproducer(monkeypatch):
     # a decider that finds nothing turns the first applicable trial into a
-    # counterexample, reported with the graph its seed regenerates
+    # counterexample, reported with the graph that trial checked, which its
+    # seed regenerates
     monkeypatch.setattr(verify, "find_odd_factor", lambda g, b: None)
     with pytest.raises(verify.TheoremViolation, match="n=12, r=7, b=5, seed=1000003,") as info:
         randomized_theorem_campaign(5, master_seed=1)
@@ -771,7 +787,7 @@ def test_campaign_stops_at_its_first_counterexample(monkeypatch):
 def test_campaign_memory_does_not_grow_with_trials(monkeypatch):
     # with the trials stubbed out, what is left is the campaign's own
     # bookkeeping, which holds one block at a time whatever --trials says
-    monkeypatch.setattr(verify, "_campaign_block", lambda block: [])
+    monkeypatch.setattr(verify, "_campaign_block", lambda block: 0)
     tracemalloc.start()
     try:
         summary = randomized_theorem_campaign(10**5)
