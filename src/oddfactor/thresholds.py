@@ -13,12 +13,13 @@ this module reads such a set, and it hands the set out checked, with the
 certified integer quotient of its degree classes.
 
 The bound table sets rho against the other bounds for every (r, b) up to
-r_max, one SweepClass per (r, eta) class: rho, the Lu-Wu-Yang bound and
-lambda_1 of the extremal component are computed once per class, and
-sweep_to_csv formats them once per class. lambda_1 is the certified root of
-the integer quotient, so a class's sharpness is an integer check: the table
-eigensolves nothing and compares no floats (the tests prove that rho < lwy
-exactly on its eta = 0 rows, for every r).
+r_max, one SweepClass per (r, eta) class: rho and the Lu-Wu-Yang bound are
+computed once per class, and sweep_to_csv formats them once per class. The
+table builds no graph and eigensolves nothing: lambda_1 of the extremal
+component is rho, since the component's quotient has rho's trace and
+discriminant for every r (the tests prove it, and that rho < lwy exactly on
+the eta = 0 rows). verify sharpness builds and checks the component of one
+(r, b).
 """
 
 from __future__ import annotations
@@ -226,7 +227,6 @@ class SweepClass(NamedTuple):
     cgh: float
     bh: float
     lambda1_H: float | None  # None when the construction is degenerate
-    sharpness_ok: bool | None
     rows: tuple  # (b, ceil_rb, epsilon) of each b of the class, b increasing
 
 
@@ -234,16 +234,17 @@ def bound_sweep(r_max: int) -> list:
     """One SweepClass per (r, eta) class with 3 <= r <= r_max, in (r, b)
     order; its rows are the odd b < r with that eta, which are consecutive
     since eta falls as b grows. Each row derives its own ceil(r/b), epsilon
-    and eta. The 1-factor bounds depend on r alone, and rho, lwy and
-    lambda1_H, the top root of the extremal component's integer quotient
-    that extremal_missing returns with the set it has checked, on (r, eta):
-    the first b of each class computes them from one ThresholdParams.
+    and eta. The 1-factor bounds depend on r alone, and rho and lwy on
+    (r, eta): the first b of each class computes them from one
+    ThresholdParams.
 
-    A class is sharp when that root is certified, which makes it rho
-    exactly. lambda1_H and the verdict stay None on degenerate constructions
-    (odd r, eta < 3), so a single offending class cannot take down the rest
-    of the sweep. An r_max whose largest component (order r_max + 1 +
-    r_max % 2) exceeds ORDER_MAX is refused.
+    lambda1_H, the largest eigenvalue of the extremal component, is rho:
+    the top root of the component's equitable quotient, whose trace and
+    discriminant are rho's for every r (tests/test_thresholds.py proves it).
+    It is None where the construction is degenerate (odd r, eta < 3). The
+    table holds about r_max**2 / 4 rows, so the cap on r_max guards memory:
+    an r_max whose largest component (order r_max + 1 + r_max % 2) exceeds
+    ORDER_MAX is refused, although no component is built.
     """
     if r_max < 3:
         raise ValueError(f"r_max must be at least 3, got {r_max}")
@@ -257,12 +258,9 @@ def bound_sweep(r_max: int) -> list:
             if eta != last_eta:
                 last_eta = eta
                 p = _params(r, b, ceil_rb, epsilon, eta)
-                try:
-                    lam1, sharp = extremal_missing(p)[2][2:]
-                except DegenerateConstructionError:
-                    lam1 = sharp = None
+                lam1 = None if r % 2 and eta < 3 else p.rho
                 rows = []
-                found.append((r, eta, p.rho, lwy_threshold(p), cgh, bh, lam1, sharp, rows))
+                found.append((r, eta, p.rho, lwy_threshold(p), cgh, bh, lam1, rows))
             rows.append((b, ceil_rb, epsilon))
     return [SweepClass(*head, tuple(rows)) for *head, rows in found]
 

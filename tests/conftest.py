@@ -684,16 +684,13 @@ class SweepRow(NamedTuple):
     cgh: float
     bh: float
     lambda1_H: float | None
-    sharpness_ok: bool | None
 
 
 def sweep_rows(classes) -> list:
     """The SweepClass records of thresholds.bound_sweep expanded into one
     SweepRow per (r, b), in their order, each a copy of its class's bounds."""
     return [
-        SweepRow(
-            c.r, b, ceil_rb, epsilon, c.eta, c.rho, c.lwy, c.cgh, c.bh, c.lambda1_H, c.sharpness_ok
-        )
+        SweepRow(c.r, b, ceil_rb, epsilon, c.eta, c.rho, c.lwy, c.cgh, c.bh, c.lambda1_H)
         for c in classes
         for b, ceil_rb, epsilon in c.rows
     ]

@@ -224,8 +224,8 @@ def test_build_extremal_matches_join_oracle():
 
 
 def test_missing_pair_matrix_matches_graph_oracle():
-    # the sweep's certified quotient root must be rho exactly and agree with
-    # the dense eigensolve of the built Graph, the independent numeric check
+    # the sweep's lambda1_H must be rho exactly and agree with the dense
+    # eigensolve of the built Graph, the independent numeric check
     lam1 = {}
     for r in range(3, 61):
         for b in range(1, r, 2):
@@ -240,11 +240,10 @@ def test_missing_pair_matrix_matches_graph_oracle():
     assert len(rows) == 899
     for row in rows:
         if (row.r, row.b) not in lam1:
-            assert row.lambda1_H is None and row.sharpness_ok is None, (row.r, row.b)
+            assert row.lambda1_H is None, (row.r, row.b)
             continue
         assert row.lambda1_H == row.rho, (row.r, row.b)
         assert abs(row.lambda1_H - lam1[row.r, row.b]) <= 1e-12, (row.r, row.b)
-        assert row.sharpness_ok, (row.r, row.b)
 
 
 def test_sweep_classes_cover_each_pair_once():
@@ -451,3 +450,30 @@ def test_rho_beats_lwy_for_every_r():
     s, D, den, W, _ = _lwy_polynomials(0)
     assert D.subs(eta=0) == (R + 2) ** 2
     assert W.subs(eta=0) - den * (R + 2) == 2
+
+
+def test_extremal_quotient_root_is_rho_for_every_r():
+    """The top root of the extremal component's quotient is rho, for every r.
+
+    The rows are those of its two degree classes, numbered by their smallest
+    vertex; test_quotient_rows_have_the_closed_form_up_to_r_200 ties them to
+    the construction pair by pair. The roots of [[a, b], [c, d]] are those
+    of x^2 - (a + d)x + (ad - bc), so its top root is (s + sqrt(D))/2 = rho
+    once a + d = s and (a + d)^2 - 4(ad - bc) = D, in the polynomials that
+    test_rho_beats_lwy_for_every_r ties to the library's formula. The
+    quotient of an equitable partition of a connected graph has lambda_1 as
+    its top root (Godsil and Royle, Algebraic Graph Theory, ch. 9), so
+    bound_sweep reads lambda1_H off rho.
+    """
+    rows_by_parity = {
+        0: [[R - ETA, ETA], [R + 1 - ETA, ETA - 2]],
+        1: [[ETA - 3, R + 2 - ETA], [ETA, R - ETA]],
+    }
+    for x, ((a, b), (c, d)) in rows_by_parity.items():
+        s, D, _, _, _ = _lwy_polynomials(x)
+        assert a + d == s, x
+        assert (a + d) ** 2 - 4 * (a * d - b * c) == D, x
+    # eta = 0 (even r only) leaves K_{r+1}: one class [[r]], whose root is
+    # r, and rho = (s + sqrt(D))/2 = (r - 2 + r + 2)/2 = r
+    s, D, _, _, _ = _lwy_polynomials(0)
+    assert D.subs(eta=0) == (R + 2) ** 2 and s + (R + 2) == 2 * R

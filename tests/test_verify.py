@@ -388,21 +388,12 @@ UNEQUAL_5_1 = [
 
 @pytest.mark.parametrize("missing, rows", UNEQUAL_5_1)
 def test_failed_certificate_breaks_sharpness(missing, rows, monkeypatch, capsys):
-    real = thresholds.extremal_missing
+    real = verify.extremal_missing
 
     def fake(p):
         return (7, missing, _missing_quotient(p, 7, missing)) if (p.r, p.b) == (5, 1) else real(p)
 
-    # the sweep reads it from thresholds, sharpness_check from verify
-    monkeypatch.setattr(thresholds, "extremal_missing", fake)
     monkeypatch.setattr(verify, "extremal_missing", fake)
-    by_pair = {(row.r, row.b): row for row in sweep_rows(bound_sweep(5))}
-    assert by_pair[5, 1].sharpness_ok is False
-    assert all(row.sharpness_ok is not False for pair, row in by_pair.items() if pair != (5, 1))
-    assert main(["verify", "sweep", "--r-max", "5"]) == 4
-    err = capsys.readouterr().err
-    assert "sharpness violated at (r=5, b=1)" in err
-    assert err.count("sharpness violated") == 1
     rep = sharpness_check(5, 1)
     assert not rep.passed and not rep.equitable
     assert rep.equitable == oracle_equitable(7, missing)
@@ -417,11 +408,30 @@ def test_failed_certificate_breaks_sharpness(missing, rows, monkeypatch, capsys)
     assert err.splitlines() == [f"issue: {issue}" for issue in rep.issues]
 
 
+def test_sweep_builds_no_extremal_component(monkeypatch, capsys):
+    # lambda1_H is rho, proved for every r in test_thresholds.py, so the
+    # sweep reads no missing-pair set; the digest is the one of the table
+    # that read each class's certified quotient root
+    def must_not_run(p):
+        raise AssertionError("verify sweep built an extremal component")
+
+    monkeypatch.setattr(thresholds, "extremal_missing", must_not_run)
+    assert main(["verify", "sweep", "--r-max", "60"]) == 0
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 1 + 899
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "eab0877c512107e39c7c175716f971a678701fbda7199bfbafe20a879f5e2010"
+    assert err == (
+        "note: rho < lwy on 239 rows (all eta=0): "
+        "(4,3), (6,3), (6,5), (8,5), (8,7), (10,5), (10,7), (10,9) and 231 more\n"
+    )
+
+
 def test_one_block_certificate():
     # eta = 0: the extremal graph is K_{r+1}, one block whose entry is r
     row = {(row.r, row.b): row for row in sweep_rows(bound_sweep(4))}[4, 3]
     assert row.eta == 0
-    assert row.lambda1_H == 4.0 and row.sharpness_ok is True
+    assert row.lambda1_H == 4.0
     p = threshold_params(4, 3)
     assert extremal_missing(p)[2] == (True, [[4]], 4.0, True)
     # K_5 is not the shape of (3, 1), so the shape check rejects it
@@ -533,12 +543,12 @@ def test_bound_sweep_rows():
     assert abs(row.rho - (1 + math.sqrt(7))) < 1e-12
     assert abs(row.lwy - 109 / 30) < 1e-12
     assert row.rho > row.lwy
-    assert row.sharpness_ok
+    assert row.lambda1_H == row.rho
 
     row = by_pair[(3, 1)]
     assert abs(row.rho - 2 * math.sqrt(2)) < 1e-12
     assert abs(row.lwy - 2.79) < 1e-12
-    assert row.lambda1_H is None and row.sharpness_ok is None
+    assert row.lambda1_H is None
 
     # complete-graph rows: rho = r and the realized eigenvalue agrees
     row = by_pair[(4, 3)]
@@ -560,8 +570,9 @@ def test_bound_sweep_lwy_comparison_structure():
 
 
 def test_bound_sweep_sharpness_all_ok():
+    # lambda1_H is rho on every class but the degenerate ones (odd r, eta < 3)
     for c in bound_sweep(60):
-        assert c.sharpness_ok is (None if c.lambda1_H is None else True)
+        assert c.lambda1_H == (None if c.r % 2 and c.eta < 3 else c.rho), (c.r, c.eta)
 
 
 def test_sweep_csv_format():
@@ -614,9 +625,11 @@ def test_bound_sweep_rows_match_a_per_pair_oracle():
             lwy = lwy_threshold(p)
             bh, cgh = prior_1factor_thresholds(r)
             try:
-                lam1, sharp = extremal_missing(p)[2][2:]
+                _, _, lam1, certified = extremal_missing(p)[2]
             except DegenerateConstructionError:
-                lam1 = sharp = None
+                lam1 = None
+            else:
+                assert certified, (r, b)
             want.append(
                 dict(
                     r=r,
@@ -629,7 +642,6 @@ def test_bound_sweep_rows_match_a_per_pair_oracle():
                     cgh=cgh,
                     bh=bh,
                     lambda1_H=lam1,
-                    sharpness_ok=sharp,
                 )
             )
     rows = sweep_rows(bound_sweep(60))
@@ -650,7 +662,7 @@ RECORDS = [
     (
         SweepClass,
         lambda: bound_sweep(4)[1],
-        ("r", "eta", "rho", "lwy", "cgh", "bh", "lambda1_H", "sharpness_ok", "rows"),
+        ("r", "eta", "rho", "lwy", "cgh", "bh", "lambda1_H", "rows"),
     ),
     (FactorCertificate, lambda: find_odd_factor(cycle_graph(6), 1), ("edges", "degrees")),
     (
