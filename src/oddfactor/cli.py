@@ -20,6 +20,7 @@ import json
 import os
 import re
 import sys
+from itertools import islice
 
 # spectral loads numpy. The spectrum handler imports spectra from it, and verify
 # only in the checks that eigensolve (verify sharpness, verify campaign); the
@@ -360,11 +361,13 @@ def _cmd_verify_sweep(args) -> int:
     _emit(sweep_to_csv(classes), args.output)
     # rho < lwy exactly when eta = 0, for every r: proved in
     # tests/test_thresholds.py::test_rho_beats_lwy_for_every_r
-    below = [(c.r, b) for c in classes if c.eta == 0 for b, _, _ in c.rows]
-    if below:
-        pairs = ", ".join(f"({r},{b})" for r, b in below[:8])
-        more = "" if len(below) <= 8 else f" and {len(below) - 8} more"
-        print(f"note: rho < lwy on {len(below)} rows (all eta=0): {pairs}{more}", file=sys.stderr)
+    below = [c for c in classes if c.eta == 0]
+    count = sum(len(c.rows) for c in below)
+    if count:
+        first = islice(((c.r, b) for c in below for b, _, _ in c.rows), 8)
+        pairs = ", ".join(f"({r},{b})" for r, b in first)
+        more = "" if count <= 8 else f" and {count - 8} more"
+        print(f"note: rho < lwy on {count} rows (all eta=0): {pairs}{more}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -12,14 +12,16 @@ rho(r, b). That component is K_order minus a sparse missing-pair set; only
 this module reads such a set, and it hands the set out checked, with the
 certified integer quotient of its degree classes.
 
-The bound table sets rho against the other bounds for every (r, b) up to
-r_max, one SweepClass per (r, eta) class: rho and the Lu-Wu-Yang bound are
-computed once per class, and sweep_to_csv formats them once per class. The
-table builds no graph and eigensolves nothing: lambda_1 of the extremal
-component is rho, since the component's quotient has rho's trace and
-discriminant for every r (the tests prove it, and that rho < lwy exactly on
-the eta = 0 rows). verify sharpness builds and checks the component of one
-(r, b).
+rho and the Lu-Wu-Yang bound depend on (r, eta) alone, and each has one
+private closed form in (r, eta), which threshold_params, lwy_threshold and
+the bound table all call. The bound table sets rho against the other bounds
+for every (r, b) up to r_max, one SweepClass per (r, eta) class: it
+computes the 1-factor bounds once per r, rho and the Lu-Wu-Yang bound once
+per class, and sweep_to_csv formats each of them once. The table builds
+no graph and eigensolves nothing: lambda_1 of the extremal component is
+rho, since the component's quotient has rho's trace and discriminant for
+every r (the tests prove it, and that rho < lwy exactly on the eta = 0
+rows). verify sharpness builds and checks the component of one (r, b).
 """
 
 from __future__ import annotations
@@ -80,33 +82,38 @@ def _check_rb(r: int, b: int) -> None:
 
 
 def _eta_terms(r: int, b: int) -> tuple:
-    """(ceil(r/b), epsilon, eta) for a degree r and odd bound b < r."""
-    _check_rb(r, b)
+    """(ceil(r/b), epsilon, eta) for a degree r and odd bound b < r, which
+    the caller has checked."""
     ceil_rb = (r + b - 1) // b
     epsilon = 2 if r % 2 == ceil_rb % 2 else 1
     return ceil_rb, epsilon, ceil_rb - epsilon
 
 
+def _rho(r: int, eta: int) -> float:
+    """rho(r, b) in its (r, eta) form, with x = r mod 2."""
+    x = r % 2
+    return (r - 2 - x + math.sqrt((r + 2 + x) ** 2 - 4 * eta)) / 2
+
+
+def _lwy(r: int, eta: int) -> float:
+    """The Lu-Wu-Yang bound in its (r, eta) form."""
+    corr = 1 / ((r + 1) * (r + 2)) if r % 2 == 0 else 1 / (r + 2) ** 2
+    return r - eta / (r + 1) + corr
+
+
 def threshold_params(r: int, b: int) -> ThresholdParams:
     """All derived threshold quantities for a degree r and odd bound b < r."""
-    return _params(r, b, *_eta_terms(r, b))
-
-
-def _params(r: int, b: int, ceil_rb: int, epsilon: int, eta: int) -> ThresholdParams:
-    """threshold_params(r, b) from the _eta_terms(r, b) a caller already holds."""
-    x = r % 2
-    rho = (r - 2 - x + math.sqrt((r + 2 + x) ** 2 - 4 * eta)) / 2
+    _check_rb(r, b)
+    ceil_rb, epsilon, eta = _eta_terms(r, b)
     return ThresholdParams(
-        r, b, ceil_rb, epsilon, eta, f"{_parity(r)}-{_parity(ceil_rb)}", x, rho
+        r, b, ceil_rb, epsilon, eta, f"{_parity(r)}-{_parity(ceil_rb)}", r % 2, _rho(r, eta)
     )
 
 
 def lwy_threshold(p: ThresholdParams) -> float:
     """The Lu-Wu-Yang lower bound on lambda_3 for r-regular even-order graphs
     without an odd [1,b]-factor, in the eta form of its four parity branches."""
-    r = p.r
-    corr = 1 / ((r + 1) * (r + 2)) if r % 2 == 0 else 1 / (r + 2) ** 2
-    return r - p.eta / (r + 1) + corr
+    return _lwy(p.r, p.eta)
 
 
 def prior_1factor_thresholds(r: int) -> tuple:
@@ -234,9 +241,10 @@ def bound_sweep(r_max: int) -> list:
     """One SweepClass per (r, eta) class with 3 <= r <= r_max, in (r, b)
     order; its rows are the odd b < r with that eta, which are consecutive
     since eta falls as b grows. Each row derives its own ceil(r/b), epsilon
-    and eta. The 1-factor bounds depend on r alone, and rho and lwy on
-    (r, eta): the first b of each class computes them from one
-    ThresholdParams.
+    and eta. The r range is checked once, here: every b is generated odd and
+    below r. The 1-factor bounds depend on r alone and are computed once per
+    r, and rho and lwy depend on (r, eta) alone and are computed once per
+    class, from their closed forms in (r, eta).
 
     lambda1_H, the largest eigenvalue of the extremal component, is rho:
     the top root of the component's equitable quotient, whose trace and
@@ -257,22 +265,33 @@ def bound_sweep(r_max: int) -> list:
             ceil_rb, epsilon, eta = _eta_terms(r, b)
             if eta != last_eta:
                 last_eta = eta
-                p = _params(r, b, ceil_rb, epsilon, eta)
-                lam1 = None if r % 2 and eta < 3 else p.rho
+                rho = _rho(r, eta)
+                lam1 = None if r % 2 and eta < 3 else rho
                 rows = []
-                found.append((r, eta, p.rho, lwy_threshold(p), cgh, bh, lam1, rows))
+                found.append((r, eta, rho, _lwy(r, eta), cgh, bh, lam1, rows))
             rows.append((b, ceil_rb, epsilon))
-    return [SweepClass(*head, tuple(rows)) for *head, rows in found]
+    return [
+        SweepClass(r, eta, rho, lwy, cgh, bh, lam1, tuple(rows))
+        for r, eta, rho, lwy, cgh, bh, lam1, rows in found
+    ]
 
 
 def sweep_to_csv(classes) -> str:
     """The classes as CSV under SWEEP_CSV_HEADER, one line per row: the
     integer columns as they are, every bound to 9 decimals, and an empty
     lambda1_H cell where the construction is degenerate. Each class's
-    bounds are formatted once and shared by its rows."""
+    bounds are formatted once and shared by its rows. A formatted bound is
+    reused only for the very same float object, which bound_sweep hands out
+    once per r (cgh, bh) and once per class (rho as lambda1_H): equal floats
+    such as 0.0 and -0.0 still print apart."""
     lines = [SWEEP_CSV_HEADER]
+    cgh = bh = object()  # the bounds `prior` holds; none before the first class
     for c in classes:
-        lam1 = "" if c.lambda1_H is None else f"{c.lambda1_H:.9f}"
-        tail = f"{c.eta},{c.rho:.9f},{c.lwy:.9f},{c.cgh:.9f},{c.bh:.9f},{lam1}"
+        if c.cgh is not cgh or c.bh is not bh:
+            cgh, bh = c.cgh, c.bh
+            prior = f"{cgh:.9f},{bh:.9f}"
+        rho = f"{c.rho:.9f}"
+        lam1 = "" if c.lambda1_H is None else rho if c.lambda1_H is c.rho else f"{c.lambda1_H:.9f}"
+        tail = f"{c.eta},{rho},{c.lwy:.9f},{prior},{lam1}"
         lines += [f"{c.r},{b},{ceil_rb},{epsilon},{tail}" for b, ceil_rb, epsilon in c.rows]
     return "\n".join(lines) + "\n"

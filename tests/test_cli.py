@@ -555,7 +555,7 @@ _ABOVE_THE_CAP = [
     (
         ("verify", "sweep", "--r-max", "2047"),
         None,
-        ["oddfactor.thresholds.prior_1factor_thresholds", "oddfactor.thresholds.lwy_threshold"],
+        ["oddfactor.thresholds.prior_1factor_thresholds", "oddfactor.thresholds._lwy"],
         2049,
     ),
     # case2 allocates nothing of that size; its loop runs about r times

@@ -119,6 +119,20 @@ def test_lwy_matches_four_branch_oracle():
             assert lwy_threshold(threshold_params(r, b)) == _lwy_four_branch(r, b), (r, b)
 
 
+def test_bound_sweep_matches_the_four_branch_oracles():
+    # the sweep computes rho and lwy once per (r, eta) class, from the same
+    # (r, eta) forms threshold_params uses; these oracles share no code with
+    # them and check every row of the table
+    rows = 0
+    for c in bound_sweep(200):
+        for b, ceil_rb, _ in c.rows:
+            assert ceil_rb == -(-c.r // b), (c.r, b)
+            assert abs(c.rho - _rho_four_branch(c.r, b)) <= 1e-12, (c.r, b)
+            assert c.lwy == _lwy_four_branch(c.r, b), (c.r, b)
+            rows += 1
+    assert rows == sum(r // 2 for r in range(3, 201)) == 9999
+
+
 def test_degree_cap_is_checked_everywhere_r_is():
     assert R_MAX == 2**53
     assert threshold_params(R_MAX, 1).eta == R_MAX - 2

@@ -721,15 +721,22 @@ def test_records_are_immutable_named_tuples(record, make, fields):
 
 
 def test_sweep_csv_never_shares_a_tail_between_signed_zeros():
-    # 0.0 == -0.0, but they print differently: each class prints its own
+    # 0.0 == -0.0, but they print differently: a formatted bound is reused
+    # only for the very same float object, so each class prints its own
     # sign, on every one of its rows
     c = bound_sweep(10)[-1]
     assert (c.r, c.eta, [row[0] for row in c.rows]) == (10, 0, [5, 7, 9])
     classes = [c._replace(rho=z, lwy=z) for z in (0.0, -0.0, -0.0, 0.0)]
+    # two classes of one r whose 1-factor bounds are equal but signed apart,
+    # then one whose lambda1_H equals its rho but is signed apart from it
+    classes += [c._replace(cgh=z, bh=-z) for z in (0.0, -0.0)]
+    classes.append(c._replace(rho=0.0, lambda1_H=-0.0))
     text = sweep_to_csv(classes)
-    assert [line.split(",")[5] for line in text.splitlines()[1:]] == [
-        *["0.000000000"] * 3, *["-0.000000000"] * 6, *["0.000000000"] * 3,
-    ]
+    cells = [line.split(",") for line in text.splitlines()[1:]]
+    zero, minus = "0.000000000", "-0.000000000"
+    assert [row[5] for row in cells[:12]] == [*[zero] * 3, *[minus] * 6, *[zero] * 3]
+    assert [row[7:9] for row in cells[12:18]] == [[zero, minus]] * 3 + [[minus, zero]] * 3
+    assert [(row[5], row[9]) for row in cells[18:]] == [(zero, minus)] * 3
     assert text == oracle_sweep_csv(sweep_rows(classes))
 
 
