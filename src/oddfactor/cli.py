@@ -22,9 +22,9 @@ import re
 import sys
 from itertools import islice
 
-# spectral loads numpy. The spectrum handler imports spectra from it, and verify
-# only in the checks that eigensolve (verify sharpness, verify campaign); the
-# other commands, verify sweep and case2 among them, start without numpy
+# spectral loads numpy. The spectrum handler imports spectra from it, and verify's
+# campaign does when it runs; every other command starts without numpy, verify
+# sharpness too, which reads the integer certificate of thresholds
 from .factor import (
     DEFAULT_MAX_N,
     check_amahashi,
@@ -47,6 +47,7 @@ from .thresholds import (
     DegenerateConstructionError,
     bound_sweep,
     build_extremal,
+    extremal_missing,
     lwy_threshold,
     prior_1factor_thresholds,
     sweep_to_csv,
@@ -314,29 +315,28 @@ def _decide(g: Graph, b: int, max_n: int, found) -> int:
 
 
 def _cmd_verify_sharpness(args) -> int:
-    from .verify import sharpness_check
-
     d = args.digits
+    p = threshold_params(args.r, args.b)
     try:
-        report = sharpness_check(args.r, args.b)
+        order, missing, (equitable, rows, root, certified) = extremal_missing(p)
     except DegenerateConstructionError as exc:
-        p = threshold_params(args.r, args.b)
         print(f"degenerate construction: {exc}", file=sys.stderr)
         print(f"rho: {p.rho:.{d}f}")
         return EXIT_USAGE
-    print(f"r: {report.r}")
-    print(f"b: {report.b}")
-    print(f"eta: {report.eta}")
-    print(f"rho: {report.rho:.{d}f}")
-    print(f"lambda1: {report.lambda1:.{d}f}")
-    print(f"vertices: {report.n_vertices}")
-    print(f"edges: {report.edge_count}")
-    print(f"equitable: {report.equitable}")
-    print(f"quotient_top: {report.quotient_top:.{d}f}")
-    print(f"result: {'pass' if report.passed else 'FAIL'}")
-    if not report.passed:
-        for issue in report.issues:
-            print(f"issue: {issue}", file=sys.stderr)
+    # a certified root is rho to the last bit, and lambda_1 of the connected
+    # component, as the top root of an equitable quotient
+    print(f"r: {p.r}")
+    print(f"b: {p.b}")
+    print(f"eta: {p.eta}")
+    print(f"rho: {p.rho:.{d}f}")
+    print(f"lambda1: {root:.{d}f}")
+    print(f"vertices: {order}")
+    print(f"edges: {order * (order - 1) // 2 - len(missing)}")
+    print(f"equitable: {equitable}")
+    print(f"quotient_top: {root:.{d}f}")
+    print(f"result: {'pass' if certified else 'FAIL'}")
+    if not certified:
+        print(f"issue: integer quotient {rows} does not certify rho", file=sys.stderr)
         return EXIT_THEOREM
     return EXIT_OK
 

@@ -21,7 +21,8 @@ per class, and sweep_to_csv formats each of them once. The table builds
 no graph and eigensolves nothing: lambda_1 of the extremal component is
 rho, since the component's quotient has rho's trace and discriminant for
 every r (the tests prove it, and that rho < lwy exactly on the eta = 0
-rows). verify sharpness builds and checks the component of one (r, b).
+rows). verify sharpness reports the component of one (r, b) from its
+checked missing-pair set and certified quotient, and builds no graph either.
 """
 
 from __future__ import annotations

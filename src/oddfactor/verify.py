@@ -1,12 +1,13 @@
 """Numerical verification harness for the spectral factor threshold.
 
-Checks, at desk scale, the consequences the theory promises: the extremal
-construction attains rho(r, b) exactly; any regular even-order graph whose
-third eigenvalue sits below rho(r, b) yields a factor when searched; and the
-minimal-component quotient polynomial is nonpositive at rho(r, b) across its
-whole parameter range.
+Checks, at desk scale, the consequences the theory promises: any regular
+even-order graph whose third eigenvalue sits below rho(r, b) yields a factor
+when searched, and the minimal-component quotient polynomial is nonpositive
+at rho(r, b) across its whole parameter range. That the extremal component
+attains rho(r, b) exactly is certified in integers by thresholds, where
+verify sharpness reads it.
 
-Only theorem_check, the campaign and sharpness_check eigensolve, all through
+Only theorem_check and the campaign eigensolve, both through
 spectral.spectra; they import spectral, and with it numpy, when they run, so
 the quotient-polynomial check starts without numpy. The campaign streams its
 trials in blocks of 64, with one stacked eigensolve per vertex count in each
@@ -25,26 +26,24 @@ import random
 from typing import NamedTuple
 
 from .factor import find_odd_factor
-from .graphs import Graph, _check_order, complete_minus, is_connected, serialize_edge_list
-from .thresholds import extremal_missing, threshold_params
+from .graphs import Graph, _check_order, is_connected, serialize_edge_list
+from .thresholds import threshold_params
 
 __all__ = [
     "GUARD",
     "TrialReport",
-    "SharpnessReport",
     "Case2Report",
     "CampaignSummary",
     "TheoremViolation",
     "random_regular",
     "theorem_check",
-    "sharpness_check",
     "case2_polynomial_check",
     "randomized_theorem_campaign",
 ]
 
 # float comparisons sit on the conservative side of this band, far above solver
-# error. It guards only spectral.spectra's output (theorem_check, the campaign,
-# sharpness_check) and case2's closed-form verdict
+# error. It guards only spectral.spectra's output (theorem_check and the
+# campaign) and case2's closed-form verdict
 GUARD = 1e-9
 
 
@@ -64,20 +63,6 @@ class TrialReport(NamedTuple):
     lambda3: float
     rho: float
     implication_applicable: bool  # True: a factor was found; False: none was searched
-
-
-class SharpnessReport(NamedTuple):
-    r: int
-    b: int
-    eta: int
-    rho: float
-    lambda1: float
-    n_vertices: int
-    edge_count: int
-    equitable: bool
-    quotient_top: float
-    issues: tuple
-    passed: bool
 
 
 class Case2Report(NamedTuple):
@@ -239,46 +224,6 @@ def _check_block(trials: list) -> list:
             )
         )
     return reports
-
-
-def sharpness_check(r: int, b: int) -> SharpnessReport:
-    """Confirm that the extremal component attains rho(r, b), eigensolving
-    the same Graph that build_extremal gives.
-
-    Two checks: the top eigenvalue, solved independently of the quotient,
-    lies within GUARD of rho, and the integer quotient is certified, which
-    requires an equitable partition and makes its root rho exactly;
-    extremal_missing has already checked that the missing pairs are
-    distinct and in range, and the degree profile they leave. Raises
-    DegenerateConstructionError when no construction exists (odd r with
-    eta < 3).
-    """
-    from .spectral import spectra
-
-    p = threshold_params(r, b)
-    order, missing, (equitable, rows, q_top, certified) = extremal_missing(p)
-    g = complete_minus(order, set(missing))
-    lam1 = spectra([g])[0][0]
-
-    issues = []
-    if abs(lam1 - p.rho) >= GUARD:
-        issues.append(f"lambda1={lam1!r} differs from rho={p.rho!r}")
-    if not certified:
-        issues.append(f"integer quotient {rows} does not certify rho")
-
-    return SharpnessReport(
-        r=r,
-        b=b,
-        eta=p.eta,
-        rho=p.rho,
-        lambda1=lam1,
-        n_vertices=g.n,
-        edge_count=len(g.edges),
-        equitable=equitable,
-        quotient_top=q_top,
-        issues=tuple(issues),
-        passed=not issues,
-    )
 
 
 def case2_polynomial_check(r: int, b: int) -> Case2Report:

@@ -12,6 +12,7 @@ import pytest
 from oddfactor.cli import main, parse_construction
 from oddfactor.factor import FactorCertificate
 from oddfactor.graphs import Graph, complete_graph, cycle_graph, serialize_edge_list
+from oddfactor.thresholds import build_extremal, threshold_params
 from conftest import oracle_spectrum
 
 
@@ -392,6 +393,8 @@ for argv in (
     ["find-factor", "C6", "--b", "1"],
     ["verify", "sweep", "--r-max", "6"],
     ["verify", "case2", "--r", "7", "--b", "1"],
+    ["verify", "sharpness", "--r", "4", "--b", "1"],
+    ["verify", "sharpness", "--r", "11", "--b", "3"],
 ):
     assert main(argv) == 0, argv
 seen.append(third_party())
@@ -401,7 +404,7 @@ print(json.dumps(seen))
 """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    for eigensolving in (["spectrum", "K3"], ["verify", "sharpness", "--r", "4", "--b", "1"]):
+    for eigensolving in (["spectrum", "K3"], ["verify", "campaign", "--trials", "3"]):
         out = subprocess.run(
             [sys.executable, "-c", code, *eigensolving],
             env=env,
@@ -468,7 +471,11 @@ def test_sweep_and_threshold_run_without_verify():
 import sys
 sys.modules["oddfactor.verify"] = None
 from oddfactor.cli import main
-for argv in (["verify", "sweep", "--r-max", "10"], ["threshold", "--r", "7", "--b", "3"]):
+for argv in (
+    ["verify", "sweep", "--r-max", "10"],
+    ["threshold", "--r", "7", "--b", "3"],
+    ["verify", "sharpness", "--r", "11", "--b", "3"],
+):
     assert main(argv) == 0, argv
 """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -549,7 +556,7 @@ _ABOVE_THE_CAP = [
     (
         ("verify", "sharpness", "--r", "2047", "--b", "1"),
         None,
-        ["oddfactor.verify.complete_minus", "oddfactor.thresholds._missing_quotient"],
+        ["oddfactor.thresholds._missing_quotient"],
         2049,
     ),
     (
@@ -700,6 +707,35 @@ def test_verify_sharpness(capsys):
     assert code == 0
     assert "quotient_top: 4.000000000" in out
     assert "result: pass" in out
+
+
+def test_verify_sharpness_prints_the_eigensolved_graph(capsys):
+    # lambda1 and quotient_top print the certified root; at the default 9
+    # digits that is the dense eigensolve of the built graph, on every pair
+    pairs = 0
+    for r in range(3, 61):
+        for b in range(1, r, 2):
+            p = threshold_params(r, b)
+            if r % 2 == 1 and p.eta < 3:
+                continue
+            g = build_extremal(p)
+            lam1 = f"{oracle_spectrum(g)[0]:.9f}"
+            code, out, err = run(capsys, "verify", "sharpness", "--r", str(r), "--b", str(b))
+            assert (code, err) == (0, ""), (r, b)
+            assert out.splitlines() == [
+                f"r: {r}",
+                f"b: {b}",
+                f"eta: {p.eta}",
+                f"rho: {p.rho:.9f}",
+                f"lambda1: {lam1}",
+                f"vertices: {g.n}",
+                f"edges: {len(g.edges)}",
+                "equitable: True",
+                f"quotient_top: {lam1}",
+                "result: pass",
+            ], (r, b)
+            pairs += 1
+    assert pairs == 609
 
 
 def test_verify_sharpness_degenerate(capsys):

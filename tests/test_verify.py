@@ -49,14 +49,12 @@ from oddfactor.verify import (
     GUARD,
     CampaignSummary,
     Case2Report,
-    SharpnessReport,
     TrialReport,
     _shuffle,
     _trial_seed,
     case2_polynomial_check,
     random_regular,
     randomized_theorem_campaign,
-    sharpness_check,
     theorem_check,
 )
 from conftest import (
@@ -251,26 +249,57 @@ def test_contrapositive_quartic_witness():
 # sharpness and the quotient polynomial
 
 
-def test_sharpness_check_odd():
-    rep = sharpness_check(5, 1)
-    assert rep.passed and not rep.issues
-    assert abs(rep.lambda1 - (1 + math.sqrt(13))) < 1e-9
-    assert rep.n_vertices == 7 and rep.edge_count == 16
-    assert rep.equitable
+def sharpness_lines(capsys, r, b) -> tuple:
+    """(exit code, stdout lines, stderr) of verify sharpness at (r, b)."""
+    code = main(["verify", "sharpness", "--r", str(r), "--b", str(b)])
+    out, err = capsys.readouterr()
+    return code, out.splitlines(), err
 
 
-def test_sharpness_check_even():
-    rep = sharpness_check(4, 1)
-    assert rep.passed
-    assert abs(rep.lambda1 - (1 + math.sqrt(7))) < 1e-9
-    assert rep.n_vertices == 5 and rep.edge_count == 9
+def test_sharpness_check_odd(capsys):
+    p = threshold_params(5, 1)
+    order, missing, (equitable, _, top, certified) = extremal_missing(p)
+    assert certified and equitable and top == p.rho
+    # the dense eigensolve of the built graph, independent of the quotient
+    g = build_extremal(p)
+    assert abs(oracle_spectrum(g)[0] - (1 + math.sqrt(13))) < 1e-9
+    assert order == g.n == 7 and len(g.edges) == 16
+    code, lines, err = sharpness_lines(capsys, 5, 1)
+    assert (code, err) == (0, "")
+    assert lines[4:] == [
+        "lambda1: 4.605551275",
+        "vertices: 7",
+        "edges: 16",
+        "equitable: True",
+        "quotient_top: 4.605551275",
+        "result: pass",
+    ]
+
+
+def test_sharpness_check_even(capsys):
+    p = threshold_params(4, 1)
+    order, missing, (equitable, _, top, certified) = extremal_missing(p)
+    assert certified and equitable and top == p.rho
+    g = build_extremal(p)
+    assert abs(oracle_spectrum(g)[0] - (1 + math.sqrt(7))) < 1e-9
+    assert order == g.n == 5 and len(g.edges) == 9
+    code, lines, err = sharpness_lines(capsys, 4, 1)
+    assert (code, err) == (0, "")
+    assert "vertices: 5" in lines and "edges: 9" in lines and "result: pass" in lines
     # eta = 0: the extremal graph is K5, and its one degree class is the
     # whole vertex set, so the quotient is the 1x1 matrix [r]
-    rep = sharpness_check(4, 3)
-    assert rep.passed and not rep.issues
-    assert rep.n_vertices == 5 and rep.edge_count == 10
-    assert rep.equitable
-    assert rep.quotient_top == 4.0
+    p = threshold_params(4, 3)
+    assert extremal_missing(p) == (5, (), (True, [[4]], 4.0, True))
+    assert build_extremal(p) == complete_graph(5)
+    code, lines, err = sharpness_lines(capsys, 4, 3)
+    assert (code, err) == (0, "")
+    assert lines[5:] == [
+        "vertices: 5",
+        "edges: 10",
+        "equitable: True",
+        "quotient_top: 4.000000000",
+        "result: pass",
+    ]
 
 
 @pytest.mark.parametrize("r, b", [(8, 3), (10, 3), (12, 3), (11, 3), (16, 3), (20, 5)])
@@ -388,24 +417,23 @@ UNEQUAL_5_1 = [
 
 @pytest.mark.parametrize("missing, rows", UNEQUAL_5_1)
 def test_failed_certificate_breaks_sharpness(missing, rows, monkeypatch, capsys):
-    real = verify.extremal_missing
-
     def fake(p):
-        return (7, missing, _missing_quotient(p, 7, missing)) if (p.r, p.b) == (5, 1) else real(p)
+        if (p.r, p.b) == (5, 1):
+            return 7, missing, _missing_quotient(p, 7, missing)
+        return extremal_missing(p)
 
-    monkeypatch.setattr(verify, "extremal_missing", fake)
-    rep = sharpness_check(5, 1)
-    assert not rep.passed and not rep.equitable
-    assert rep.equitable == oracle_equitable(7, missing)
-    # the independent eigensolve disagrees (its last digits vary with BLAS),
-    # and the certificate fails
-    assert len(rep.issues) == 2
-    assert rep.issues[0].startswith("lambda1=")
-    assert rep.issues[1] == f"integer quotient {rows} does not certify rho"
-    assert main(["verify", "sharpness", "--r", "5", "--b", "1"]) == 4
-    out, err = capsys.readouterr()
-    assert "result: FAIL" in out.splitlines()
-    assert err.splitlines() == [f"issue: {issue}" for issue in rep.issues]
+    monkeypatch.setattr("oddfactor.cli.extremal_missing", fake)
+    p = threshold_params(5, 1)
+    equitable, got, _, certified = fake(p)[2]
+    assert not equitable and not certified and got == rows
+    assert not oracle_equitable(7, missing)
+    # the independent eigensolve of the patched graph disagrees with rho
+    # (its last digits vary with BLAS)
+    assert abs(oracle_spectrum(complete_minus(7, set(missing)))[0] - p.rho) >= GUARD
+    code, lines, err = sharpness_lines(capsys, 5, 1)
+    assert code == 4
+    assert "equitable: False" in lines and "result: FAIL" in lines
+    assert err.splitlines() == [f"issue: integer quotient {rows} does not certify rho"]
 
 
 def test_sweep_builds_no_extremal_component(monkeypatch, capsys):
@@ -462,11 +490,14 @@ def test_certificate_rejects_another_pairs_quotient():
     assert top == (7 + math.sqrt(41)) / 2 and abs(top - p.rho) > 1e-3
 
 
-def test_sharpness_check_degenerate():
+def test_sharpness_check_degenerate(capsys):
     with pytest.raises(DegenerateConstructionError):
-        sharpness_check(9, 3)
+        extremal_missing(threshold_params(9, 3))
     # the analytic threshold itself stays available
     assert threshold_params(9, 3).rho > 0
+    code, lines, err = sharpness_lines(capsys, 9, 3)
+    assert (code, lines) == (2, ["rho: 8.916079783"])
+    assert err == "degenerate construction: no extremal construction for odd r=9 with eta=1 < 3\n"
 
 
 def test_case2_t_zero_vanishes():
@@ -680,14 +711,6 @@ RECORDS = [
         TrialReport,
         lambda: theorem_check(complete_graph(6), 1),
         ("r", "b", "n", "seed", "lambda3", "rho", "implication_applicable"),
-    ),
-    (
-        SharpnessReport,
-        lambda: sharpness_check(8, 3),
-        (
-            "r", "b", "eta", "rho", "lambda1", "n_vertices", "edge_count", "equitable",
-            "quotient_top", "issues", "passed",
-        ),
     ),
     (
         Case2Report,
