@@ -5,9 +5,12 @@ verify family (sharpness, case2, sweep, campaign). Results go to stdout,
 diagnostics to stderr. Exit codes: 0 success/holds/found, 3 no factor or
 criterion violated, 2 usage or input error, 4 theorem contradiction
 (including a rejected factor certificate and the two factor deciders
-disagreeing on a graph). main looks the command words up in a table of the
-commands' own parsers; the top-level parser reads only an argv that names
-no command or leaves arguments over, so help and usage errors are its own.
+disagreeing on a graph). main parses argv in two steps: when its leading
+words name a command and the rest is spelled canonically (exact option
+strings, one value each, at most one positional), a small reader builds the
+command's Namespace from the table of its parser's actions; every other
+argv goes to argparse, so help, usage errors and unusual spellings are its
+own.
 
 Graphs enter as edge-list files ('-' for stdin) or as inline construction
 specs: K5, C7, E4, M6 (matching complement), H:r=5,b=1 (extremal graph).
@@ -135,99 +138,101 @@ DIGITS_MAX = 17  # 17 significant digits tell any two doubles apart
 
 
 def _build_parser() -> tuple:
-    """The top-level parser, and each command's parser keyed by its command
-    words: ("check",), ..., ("verify", "sweep")."""
+    """The top-level parser, and each command's parser with its _table,
+    keyed by its command words: ("check",), ..., ("verify", "sweep")."""
     commands = {}
+
+    def command(subparsers, words, func, help):
+        # the command's parser; the function returned adds one argument to it
+        p = subparsers.add_parser(words[-1], help=help)
+        p.set_defaults(func=func)
+        actions = []
+        commands[words] = p, actions
+        return lambda *names, **kwargs: actions.append(p.add_argument(*names, **kwargs))
+
     parser = argparse.ArgumentParser(
         prog="oddfactor",
         description="Spectral thresholds and exact deciders for odd [1,b]-factors in regular graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = commands[("construct",)] = sub.add_parser(
-        "construct", help="emit a standard or extremal graph"
-    )
-    p.add_argument("spec", help="construction spec (K5, C7, E4, M6, H:r=5,b=1)")
-    p.add_argument("--format", choices=["edges", "dot"], default="edges")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_construct)
+    arg = command(sub, ("construct",), _cmd_construct, "emit a standard or extremal graph")
+    arg("spec", help="construction spec (K5, C7, E4, M6, H:r=5,b=1)")
+    arg("--format", choices=["edges", "dot"], default="edges")
+    arg("-o", "--output", default=None)
 
-    p = commands[("spectrum",)] = sub.add_parser(
-        "spectrum", help="adjacency eigenvalues of a graph"
-    )
-    p.add_argument("input", nargs="?", default="-", help="edge-list file, '-', or construction spec")
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--digits", type=_digits, default=9)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_spectrum)
+    arg = command(sub, ("spectrum",), _cmd_spectrum, "adjacency eigenvalues of a graph")
+    arg("input", nargs="?", default="-", help="edge-list file, '-', or construction spec")
+    arg("--format", choices=["json", "text"], default="json")
+    arg("--digits", type=_digits, default=9)
+    arg("-o", "--output", default=None)
 
-    p = commands[("threshold",)] = sub.add_parser(
-        "threshold", help="threshold parameters and bound values"
-    )
-    p.add_argument("--r", type=_int, required=True)
-    p.add_argument("--b", type=_int, required=True)
-    p.add_argument("--format", choices=["json", "text"], default="text")
-    p.add_argument("--digits", type=_digits, default=9)
-    p.set_defaults(func=_cmd_threshold)
+    arg = command(sub, ("threshold",), _cmd_threshold, "threshold parameters and bound values")
+    arg("--r", type=_int, required=True)
+    arg("--b", type=_int, required=True)
+    arg("--format", choices=["json", "text"], default="text")
+    arg("--digits", type=_digits, default=9)
 
-    p = commands[("check",)] = sub.add_parser(
-        "check",
-        help="test the odd-component criterion: 'holds' from a verified factor, else a "
+    arg = command(
+        sub,
+        ("check",),
+        _cmd_check,
+        "test the odd-component criterion: 'holds' from a verified factor, else a "
         "violation from the subset search up to --max-n vertices, or 'none' above it",
     )
-    p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--b", type=_int, required=True)
-    p.add_argument("--max-n", type=_int, default=DEFAULT_MAX_N)
-    p.set_defaults(func=_cmd_check)
+    arg("input", nargs="?", default="-")
+    arg("--b", type=_int, required=True)
+    arg("--max-n", type=_int, default=DEFAULT_MAX_N)
 
-    p = commands[("find-factor",)] = sub.add_parser(
-        "find-factor", help="exact polynomial decider for an odd [1,b]-factor"
+    arg = command(
+        sub, ("find-factor",), _cmd_find_factor, "exact polynomial decider for an odd [1,b]-factor"
     )
-    p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--b", type=_int, required=True)
-    p.add_argument("--max-edges", type=_int, default=DEFAULT_MAX_EDGES)
-    p.set_defaults(func=_cmd_find_factor)
+    arg("input", nargs="?", default="-")
+    arg("--b", type=_int, required=True)
+    arg("--max-edges", type=_int, default=DEFAULT_MAX_EDGES)
 
     p = sub.add_parser("verify", help="run the verification harness")
     vsub = p.add_subparsers(dest="verify_command", required=True)
 
-    v = commands[("verify", "sharpness")] = vsub.add_parser(
-        "sharpness", help="extremal graph attains the threshold"
+    arg = command(
+        vsub, ("verify", "sharpness"), _cmd_verify_sharpness, "extremal graph attains the threshold"
     )
-    v.add_argument("--r", type=_int, required=True)
-    v.add_argument("--b", type=_int, required=True)
-    v.add_argument("--digits", type=_digits, default=9)
-    v.set_defaults(func=_cmd_verify_sharpness)
+    arg("--r", type=_int, required=True)
+    arg("--b", type=_int, required=True)
+    arg("--digits", type=_digits, default=9)
 
-    v = commands[("verify", "case2")] = vsub.add_parser(
-        "case2", help="quotient polynomial nonpositive at the threshold"
+    arg = command(
+        vsub,
+        ("verify", "case2"),
+        _cmd_verify_case2,
+        "quotient polynomial nonpositive at the threshold",
     )
-    v.add_argument("--r", type=_int, required=True)
-    v.add_argument("--b", type=_int, required=True)
-    v.add_argument("--digits", type=_digits, default=9)
-    v.set_defaults(func=_cmd_verify_case2)
+    arg("--r", type=_int, required=True)
+    arg("--b", type=_int, required=True)
+    arg("--digits", type=_digits, default=9)
 
-    v = commands[("verify", "sweep")] = vsub.add_parser(
-        "sweep", help="bound comparison CSV over all (r, b)"
+    arg = command(
+        vsub, ("verify", "sweep"), _cmd_verify_sweep, "bound comparison CSV over all (r, b)"
     )
-    v.add_argument("--r-max", type=_int, default=60)
-    v.add_argument("-o", "--output", default=None)
-    v.set_defaults(func=_cmd_verify_sweep)
+    arg("--r-max", type=_int, default=60)
+    arg("-o", "--output", default=None)
 
-    v = commands[("verify", "campaign")] = vsub.add_parser(
-        "campaign", help="randomized trials of the factor implication"
+    arg = command(
+        vsub,
+        ("verify", "campaign"),
+        _cmd_verify_campaign,
+        "randomized trials of the factor implication",
     )
-    v.add_argument("--trials", type=_int, default=500)
-    v.add_argument("--master-seed", type=_int, default=0)
-    v.add_argument("--n-min", type=_int, default=8)
-    v.add_argument("--n-max", type=_int, default=20)
-    v.add_argument("--r-min", type=_int, default=3)
-    v.add_argument("--r-max", type=_int, default=7)
-    v.add_argument("--b-policy", choices=["random", "unit", "max"], default="random")
-    v.add_argument("--jobs", type=_int, default=1)
-    v.set_defaults(func=_cmd_verify_campaign)
+    arg("--trials", type=_int, default=500)
+    arg("--master-seed", type=_int, default=0)
+    arg("--n-min", type=_int, default=8)
+    arg("--n-max", type=_int, default=20)
+    arg("--r-min", type=_int, default=3)
+    arg("--r-max", type=_int, default=7)
+    arg("--b-policy", choices=["random", "unit", "max"], default="random")
+    arg("--jobs", type=_int, default=1)
 
-    return parser, commands
+    return parser, {words: (p, _table(p, actions)) for words, (p, actions) in commands.items()}
 
 
 def _cmd_construct(args) -> int:
@@ -393,24 +398,72 @@ def _cmd_verify_campaign(args) -> int:
     return EXIT_OK
 
 
+def _table(parser, actions: list) -> tuple:
+    """What _read needs of one command, from the documented fields of the
+    actions its parser was given: the namespace the parser starts from, its
+    options by exact spelling, its one positional or None, and the dests it
+    requires."""
+    defaults = {a.dest: a.default for a in actions}
+    defaults["func"] = parser.get_default("func")
+    options = {s: a for a in actions for s in a.option_strings}
+    positional = next((a for a in actions if not a.option_strings), None)
+    return defaults, options, positional, {a.dest for a in actions if a.required}
+
+
+def _read(table: tuple, argv: list):
+    """The Namespace the command's parser builds from argv, when every word
+    is an exact option string followed by a value that does not start with
+    '-', or the one positional ('-' included), no option or positional
+    comes twice, every required one comes, and every value passes its type
+    and choices. Otherwise None: argparse reads the argv."""
+    defaults, options, positional, required = table
+    values = dict(defaults)
+    seen = set()
+    words = iter(argv)
+    for word in words:
+        action = options.get(word)
+        if action is not None:
+            word = next(words, "-")  # a missing value is refused as '-' is
+            if word.startswith("-"):
+                return None
+        elif positional is None or word.startswith("-") and word != "-":
+            return None
+        else:
+            action = positional
+        if action.dest in seen:
+            return None
+        seen.add(action.dest)
+        if action.type is not None:
+            try:
+                word = action.type(word)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and word not in action.choices:
+            return None
+        values[action.dest] = word
+    return argparse.Namespace(**values) if required <= seen else None
+
+
 _PARSER, _COMMANDS = _build_parser()
 
 
 def _parse(argv: list):
-    """Parse argv with the parser of the command that its leading words
-    name, which skips the top-level parser's own dispatch.
-
-    The top-level parser reads argv only when it names no command or the
-    command's parser leaves arguments over, so every help text, usage error
-    and exit code stays the one it gives.
+    """Parse argv in two steps. _read takes an argv whose leading words name
+    a command and whose other words are spelled canonically, and builds the
+    Namespace that command's parser would, without running argparse.
+    Everything else goes to the top-level parser: help, '--', '--b=1',
+    abbreviated or repeated options, option values that start with '-', a
+    second positional, a missing required option, a value its type or
+    choices refuse, and an argv that names no command. So every spelling
+    argparse accepted is still accepted, and every help text, usage error
+    and exit code is still argparse's own.
     """
     for k in (1, 2):
-        parser = _COMMANDS.get(tuple(argv[:k]))
-        if parser is not None:
-            args, rest = parser.parse_known_args(argv[k:])
-            if not rest:
+        command = _COMMANDS.get(tuple(argv[:k]))
+        if command is not None:
+            args = _read(command[1], argv[k:])
+            if args is not None:
                 return args
-            break
     return _PARSER.parse_args(argv)
 
 

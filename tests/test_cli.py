@@ -356,21 +356,26 @@ def test_find_factor_rejects_bogus_certificate(capsys, monkeypatch):
             assert err.count("\n") == 1
 
 
+# the argument shapes perfbench/workloads.py sends
+_BENCHMARK_ARGV = [
+    ("find-factor", "-", "--b", "1", "--max-edges", "6"),
+    ("check", "-", "--b", "1", "--max-n", "6"),
+    ("verify", "campaign", "--trials", "2", "--master-seed", "7", "--jobs", "1"),
+]
+
+
 def test_benchmark_argument_shapes(capsys, monkeypatch):
-    # the argument shapes perfbench/workloads.py sends, so that a dropped or
-    # renamed flag fails here rather than in a benchmark run
+    # a dropped or renamed flag fails here rather than in a benchmark run
     import io
 
     text = serialize_edge_list(cycle_graph(6))
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    code, out, err = run(capsys, "find-factor", "-", "--b", "1", "--max-edges", "6")
+    code, out, err = run(capsys, *_BENCHMARK_ARGV[0])
     assert code == 0 and json.loads(out)["kind"] == "factor"
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    code, out, err = run(capsys, "check", "-", "--b", "1", "--max-n", "6")
+    code, out, err = run(capsys, *_BENCHMARK_ARGV[1])
     assert code == 0 and json.loads(out) == {"kind": "holds"}
-    code, out, err = run(
-        capsys, "verify", "campaign", "--trials", "2", "--master-seed", "7", "--jobs", "1"
-    )
+    code, out, err = run(capsys, *_BENCHMARK_ARGV[2])
     assert code == 0 and json.loads(out)["trials"] == 2
 
 
@@ -628,7 +633,7 @@ def test_usage_errors(capsys):
         assert "unrecognized arguments: --digits 3" in err
 
 
-# one valid call of each command, which its own parser reads whole
+# one valid call of each command, which _read reads whole
 _VALID_CALLS = [
     ("construct", "C6"),
     ("spectrum", "C6"),
@@ -639,6 +644,28 @@ _VALID_CALLS = [
     ("verify", "case2", "--r", "7", "--b", "1"),
     ("verify", "sweep", "--r-max", "6"),
     ("verify", "campaign", "--trials", "3"),
+]
+
+# argv that _read leaves to argparse, one for each kind of word it refuses
+_REFUSALS = [
+    ("check", "C6", "--b=1"),
+    ("find-factor", "C6", "--b", "1", "--max", "6"),
+    ("check", "C6", "--b", "-1"),
+    ("check", "C6", "--b", "1", "--b", "1"),
+    ("verify", "sweep", "-o", "a.csv", "--output", "b.csv"),
+    ("verify", "sweep", "-o", "-"),
+    ("find-factor", "--b", "1", "-h"),
+    ("check", "--b", "1", "--", "C6"),
+    ("check", "C6", "C8", "--b", "1"),
+    ("spectrum", "C6", "-"),
+    ("threshold", "--r", "4"),
+    ("construct", "--format", "dot"),
+    ("check", "C6", "--b", "x"),
+    ("threshold", "--r", "4", "--b", "1", "--digits", "18"),
+    ("spectrum", "C6", "--format", "yaml"),
+    ("check", "C6", "--b"),
+    ("check", "C6", "--b", "1", "--digits", "3"),
+    ("verify", "sweep", "--bogus"),
 ]
 
 _DISPATCH_CORPUS = [
@@ -655,16 +682,20 @@ _DISPATCH_CORPUS = [
     ("check", "C6", "C8", "--b", "1"),
     ("check", "--b", "1", "--", "C6"),
     ("verify", "sweep", "--bogus"),
+    *_REFUSALS,
     *_VALID_CALLS,
 ]
 
 
-def test_command_dispatch_matches_the_top_level_parser(capsys, monkeypatch):
+def test_command_dispatch_matches_the_top_level_parser(capsys, monkeypatch, tmp_path):
     # an empty command table sends every argv through the top-level parser
+    monkeypatch.chdir(tmp_path)
     direct = [run(capsys, *argv) for argv in _DISPATCH_CORPUS]
     monkeypatch.setattr("oddfactor.cli._COMMANDS", {})
     assert [run(capsys, *argv) for argv in _DISPATCH_CORPUS] == direct
     assert [code for code, _, _ in direct[:13]] == [2, 0, 2, 2, 0, 0, 2, 2, 0, 2, 2, 0, 2]
+    codes = [code for code, _, _ in direct[13 : 13 + len(_REFUSALS)]]
+    assert codes == [0, 0, 2, 0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]
 
 
 def test_valid_calls_skip_the_top_level_parser(capsys, monkeypatch):
@@ -677,10 +708,82 @@ def test_valid_calls_skip_the_top_level_parser(capsys, monkeypatch):
         assert code == 0 and out, argv
 
 
+def test_canonical_calls_run_no_argparse_parser(capsys, monkeypatch):
+    # every parse_args call goes through parse_known_args, so this stops a
+    # canonical argv that silently falls back to argparse
+    import argparse
+    import io
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("a canonical argv reached argparse")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", no_parse)
+    for argv in [*_VALID_CALLS, *_BENCHMARK_ARGV]:
+        monkeypatch.setattr("sys.stdin", io.StringIO(serialize_edge_list(cycle_graph(6))))
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out, argv
+
+
+def _command_of(argv):
+    """The command words argv starts with and the rest, as cli._parse splits them."""
+    from oddfactor.cli import _COMMANDS
+
+    for k in (1, 2):
+        if tuple(argv[:k]) in _COMMANDS:
+            return _COMMANDS[tuple(argv[:k])], list(argv[k:])
+    raise AssertionError(f"{argv} names no command")
+
+
+@pytest.mark.parametrize("argv", _REFUSALS, ids=" ".join)
+def test_reader_refuses_unusual_spellings(argv):
+    from oddfactor.cli import _read
+
+    (_, table), rest = _command_of(argv)
+    assert _read(table, rest) is None
+
+
+def test_reader_matches_each_command_parser():
+    # the oracle: whatever Namespace _read builds, the command's own parser
+    # builds too, reading every word; on each Python version CI runs
+    import random
+
+    from oddfactor.cli import _COMMANDS, _read
+
+    pool = [
+        "1", "3", "7", "0", "6", "17", "18", "C6", "K4", "text", "json", "edges", "dot",
+        "random", "max", "-", "", "--b=1", "--max", "-h", "--", "-1", "+3", "1_0", "\u0663",
+    ]
+    for words, (parser, table) in _COMMANDS.items():
+        rng = random.Random(f"reader/{' '.join(words)}")
+        flags = sorted(table[1])
+
+        def value(action):
+            if rng.random() < 0.3:
+                return rng.choice(pool)
+            return rng.choice(action.choices or (["1", "3", "17"] if action.type else ["C6", "-"]))
+
+        accepted = 0
+        for _ in range(3000):
+            # some of the command's flags, each with a value, then up to two
+            # more words anywhere: a positional, a flag again, or a stray word
+            argv = []
+            for flag in rng.sample(flags, rng.randrange(len(flags) + 1)):
+                argv += [flag, value(table[1][flag])]
+            for _ in range(rng.randrange(3)):
+                argv.insert(rng.randrange(len(argv) + 1), rng.choice(pool + flags))
+            args = _read(table, argv)
+            if args is not None:
+                accepted += 1
+                assert parser.parse_known_args(argv) == (args, []), (words, argv)
+        assert 100 < accepted < 3000, (words, accepted)
+
+
 def test_determinism(capsys, monkeypatch):
-    # the parser is built once per process, at import, so main never builds
-    # one, and interleaved calls must not leak state into each other
+    # the parsers and each command's table are built once per process, at
+    # import, so main builds neither, and interleaved calls must not leak
+    # state into each other
     monkeypatch.setattr("oddfactor.cli._build_parser", None)
+    monkeypatch.setattr("oddfactor.cli._table", None)
     commands = [
         ("threshold", "--r", "7", "--b", "3", "--format", "json"),
         ("construct", "H:r=5,b=1"),
