@@ -245,7 +245,8 @@ def bound_sweep(r_max: int) -> list:
     and eta. The r range is checked once, here: every b is generated odd and
     below r. The 1-factor bounds depend on r alone and are computed once per
     r, and rho and lwy depend on (r, eta) alone and are computed once per
-    class, from their closed forms in (r, eta).
+    class, from their closed forms in (r, eta). Each SweepClass is built
+    once, when its class closes: at the next eta or at the end of r.
 
     lambda1_H, the largest eigenvalue of the extremal component, is rho:
     the top root of the component's equitable quotient, whose trace and
@@ -265,34 +266,45 @@ def bound_sweep(r_max: int) -> list:
         for b in range(1, r, 2):
             ceil_rb, epsilon, eta = _eta_terms(r, b)
             if eta != last_eta:
-                last_eta = eta
-                rho = _rho(r, eta)
+                if last_eta is not None:
+                    found.append(SweepClass(r, last_eta, rho, lwy, cgh, bh, lam1, tuple(rows)))
+                last_eta, rows = eta, []
+                rho, lwy = _rho(r, eta), _lwy(r, eta)
                 lam1 = None if r % 2 and eta < 3 else rho
-                rows = []
-                found.append((r, eta, rho, _lwy(r, eta), cgh, bh, lam1, rows))
             rows.append((b, ceil_rb, epsilon))
-    return [
-        SweepClass(r, eta, rho, lwy, cgh, bh, lam1, tuple(rows))
-        for r, eta, rho, lwy, cgh, bh, lam1, rows in found
-    ]
+        found.append(SweepClass(r, last_eta, rho, lwy, cgh, bh, lam1, tuple(rows)))
+    return found
 
 
-def sweep_to_csv(classes) -> str:
-    """The classes as CSV under SWEEP_CSV_HEADER, one line per row: the
-    integer columns as they are, every bound to 9 decimals, and an empty
+def sweep_to_csv(classes: list) -> str:
+    """The classes, a list, as CSV under SWEEP_CSV_HEADER, one line per row:
+    the integer columns as they are, every bound to 9 decimals, and an empty
     lambda1_H cell where the construction is degenerate. Each class's
-    bounds are formatted once and shared by its rows. A formatted bound is
-    reused only for the very same float object, which bound_sweep hands out
-    once per r (cgh, bh) and once per class (rho as lambda1_H): equal floats
-    such as 0.0 and -0.0 still print apart."""
-    lines = [SWEEP_CSV_HEADER]
+    bounds and eta are formatted once, into a tail shared by its rows. A
+    formatted bound is reused only for the very same float object, which
+    bound_sweep hands out once per r (cgh, bh) and once per class (rho as
+    lambda1_H): equal floats such as 0.0 and -0.0 still print apart.
+
+    Then one flat pass writes every row. Its r, b, ceil_rb and epsilon
+    cells are read from a table of the decimal strings of 0..max r, built
+    once per call; bound_sweep puts every row int in 0..r. A row int outside
+    the table raises KeyError rather than print a cell other than its str().
+    The cells must be ints: a float or bool equal to one prints as that int.
+    """
+    top = max([c.r for c in classes], default=0)
+    dec = dict(enumerate(map(str, range(top + 1))))
     cgh = bh = object()  # the bounds `prior` holds; none before the first class
+    blocks = []
     for c in classes:
         if c.cgh is not cgh or c.bh is not bh:
             cgh, bh = c.cgh, c.bh
             prior = f"{cgh:.9f},{bh:.9f}"
         rho = f"{c.rho:.9f}"
         lam1 = "" if c.lambda1_H is None else rho if c.lambda1_H is c.rho else f"{c.lambda1_H:.9f}"
-        tail = f"{c.eta},{rho},{c.lwy:.9f},{prior},{lam1}"
-        lines += [f"{c.r},{b},{ceil_rb},{epsilon},{tail}" for b, ceil_rb, epsilon in c.rows]
+        blocks.append((dec[c.r], f"{c.eta},{rho},{c.lwy:.9f},{prior},{lam1}", c.rows))
+    lines = [SWEEP_CSV_HEADER]
+    lines += [
+        f"{r},{dec[b]},{dec[ceil_rb]},{dec[epsilon]},{tail}"
+        for r, tail, rows in blocks for b, ceil_rb, epsilon in rows
+    ]
     return "\n".join(lines) + "\n"

@@ -763,6 +763,31 @@ def test_sweep_csv_never_shares_a_tail_between_signed_zeros():
     assert text == oracle_sweep_csv(sweep_rows(classes))
 
 
+def test_sweep_csv_of_no_classes_is_the_header_line():
+    assert sweep_to_csv([]) == SWEEP_CSV_HEADER + "\n" == oracle_sweep_csv([])
+
+
+def test_sweep_csv_reads_its_cells_off_the_largest_r_in_any_order():
+    # the integer cells come from a table of 0..max r, so a list whose last
+    # class has the smallest r still prints every row
+    classes = bound_sweep(40)
+    shuffled = classes[:]
+    random.Random(7).shuffle(shuffled)
+    for order in (classes[::-1], shuffled):
+        assert order[-1].r < 40
+        assert sweep_to_csv(order) == oracle_sweep_csv(sweep_rows(order))
+
+
+@pytest.mark.parametrize("row", [(-1, 4, 1), (3, 41, 1)], ids=["negative_b", "ceil_rb_above_r"])
+def test_sweep_csv_refuses_a_row_int_outside_its_table(row):
+    # bound_sweep puts every row int in 0..r; a hand-built row outside
+    # 0..max r raises, and never prints a cell other than str() of it
+    c = bound_sweep(10)[-1]
+    classes = [c, c._replace(r=40, rows=(row,))]
+    with pytest.raises(KeyError):
+        sweep_to_csv(classes)
+
+
 def test_bound_sweep_rejects_small_r_max():
     with pytest.raises(ValueError):
         bound_sweep(2)
