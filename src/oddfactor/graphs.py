@@ -13,7 +13,7 @@ ValueError whose message names the fault.
 from __future__ import annotations
 
 import operator
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable
 
 __all__ = [
@@ -187,6 +187,11 @@ def is_connected(g: Graph) -> bool:
 # text formats
 
 
+# str(v) -> v for every vertex of the largest order _check_order allows; the
+# bulk branch of parse_edge_list looks each label up here
+_LABEL = {str(v): v for v in range(ORDER_MAX)}
+
+
 def _plain(text: str) -> bool:
     # int() also reads '_', '+' and non-ASCII digits, which the format does not allow
     return text.isascii() and "_" not in text and "+" not in text
@@ -221,20 +226,25 @@ def parse_edge_list(text: str) -> Graph:
     # every fault go to the line scan, which names the first fault. Only plain
     # text qualifies: str.split() also splits on U+00A0, which the scan rejects
     if plain:
-        # m lines name at most 2m vertices, so the table never outgrows the text
-        label = {str(v): v for v in range(min(n, 2 * m))}
         try:
-            # a loop is dropped and a repeat merges, so each leaves fewer than m keys
-            keys = {
+            # a dropped loop leaves fewer than m keys
+            keys = [
                 (u, v) if u < v else (v, u)
                 for a, b in map(str.split, body)
-                if (u := label[a]) != (v := label[b])
-            }
+                if (u := _LABEL[a]) != (v := _LABEL[b])
+            ]
         except (KeyError, ValueError):
             pass
         else:
-            if len(keys) == m:
-                return Graph._canonical(n, sorted(keys))
+            # linear on sorted text, and it brings a repeat next to its copy;
+            # the table also holds the labels at or above n
+            keys.sort()
+            if (
+                len(keys) == m
+                and all(map(operator.lt, keys, islice(keys, 1, None)))
+                and max(map(operator.itemgetter(1), keys), default=-1) < n
+            ):
+                return Graph._canonical(n, keys)
     return _scan_edges(body, n, plain)
 
 

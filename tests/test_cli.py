@@ -863,6 +863,21 @@ def test_verify_sweep(capsys):
     assert "rho < lwy" in err  # the eta=0 rows are reported on stderr
 
 
+def test_verify_sweep_note_names_up_to_eight_rows(capsys):
+    # --r-max 10 and 11 have exactly eight eta=0 rows: all named, no "and 0 more"
+    eight = (
+        "note: rho < lwy on 8 rows (all eta=0): "
+        "(4,3), (6,3), (6,5), (8,5), (8,7), (10,5), (10,7), (10,9)\n"
+    )
+    eleven = (
+        "note: rho < lwy on 11 rows (all eta=0): "
+        "(4,3), (6,3), (6,5), (8,5), (8,7), (10,5), (10,7), (10,9) and 3 more\n"
+    )
+    for r_max, note in (("10", eight), ("11", eight), ("12", eleven)):
+        code, out, err = run(capsys, "verify", "sweep", "--r-max", r_max)
+        assert (code, err) == (0, note), r_max
+
+
 def test_verify_sweep_stdout_is_pinned(capsys):
     # the digest of the 9999-row table as the cell-by-cell formatter wrote it
     code, out, err = run(capsys, "verify", "sweep", "--r-max", "200")

@@ -461,6 +461,33 @@ def test_parse_matches_line_scan_oracle():
     assert reached == {Graph, *_FUZZ_FAULTS}, reached
 
 
+def test_parse_bulk_branch_edges(monkeypatch):
+    # the bulk table holds every label below ORDER_MAX, so a label in it may
+    # still be out of range, and a repeat is caught once the sort brings it
+    # next to its copy, wherever the two lines stand
+    top = Graph(2048, [(0, 2047)])
+    forward = serialize_edge_list(matching_complement(6))
+    head, *body = forward.splitlines()
+    backward = "\n".join([head] + body[::-1]) + "\n"
+    cases = [
+        ("3 1\n0 2047\n", (GraphError, "edge (0,2047) out of range for n=3")),
+        ("2048 1\n0 2047\n", (top.n, top.edges, top.adj)),
+        ("3 1\n0 3\n", (GraphError, "edge (0,3) out of range for n=3")),
+        ("4 3\n0 1\n2 3\n1 0\n", (GraphError, "duplicate edge (0, 1)")),
+        # the same body in reversed line order gives the same graph
+        (backward, _parse_outcome(parse_edge_list, forward)),
+    ]
+    for text, want in cases:
+        assert _parse_outcome(oracle_parse_edge_list, text) == want, text
+        assert _parse_outcome(parse_edge_list, text) == want, text
+    # a canonical body is read in bulk in any line order, without the scan
+    def scan(body, n, plain):
+        raise AssertionError("a canonical body went to the line scan")
+
+    monkeypatch.setattr(oddfactor.graphs, "_scan_edges", scan)
+    assert parse_edge_list(backward) == parse_edge_list(forward)
+
+
 def test_parse_reads_ascii_decimals_only():
     # int() alone reads '1_1' as 11 and the Arabic-Indic digit '\u0663' as 3
     with pytest.raises(GraphError) as exc:

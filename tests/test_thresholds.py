@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -313,6 +314,21 @@ def test_check_missing_rejects_broken_sets():
         profile = re.escape(str(sorted(degs)))
         with pytest.raises(AssertionError, match=f"^extremal degree profile broken: {profile}$"):
             _missing_quotient(p, order, broken)
+
+
+def test_missing_quotient_needs_the_discriminant():
+    # r = 6, eta = 4 on 14 vertices: K_14 minus K_4 on 0..3, K_{5,5} between
+    # 4..8 and 9..13, {0, 1} x 4..8 and {2, 3} x 9..13. The degree profile
+    # holds and the partition is equitable with the right trace r - 2 = 4,
+    # but the discriminant is 56, not (r + 2)^2 - 4 eta = 48
+    p = threshold_params(6, 1)
+    assert p.eta == 4
+    missing = list(itertools.combinations(range(4), 2))
+    missing += itertools.product(range(4, 9), range(9, 14))
+    missing += itertools.product((0, 1), range(4, 9))
+    missing += itertools.product((2, 3), range(9, 14))
+    top = (4 + math.sqrt(56)) / 2
+    assert _missing_quotient(p, 14, missing) == (True, [[0, 5], [2, 4]], top, False)
 
 
 def test_build_extremal_degenerate_cases():

@@ -200,6 +200,14 @@ def test_theorem_check_raises_on_an_applicable_graph_without_factor(monkeypatch)
     assert info.value.graph_text == serialize_edge_list(petersen_graph())
 
 
+def test_theorem_check_sharp_graph_is_not_applicable():
+    # lambda_3 = rho exactly on the sharp graph, and the float lambda_3 - rho
+    # is +1.8e-15 at (8, 3) and +7.1e-15 at (11, 3): only the guard's side of
+    # rho keeps these graphs without a factor out of the search
+    for r, b in ((8, 3), (11, 3)):
+        assert theorem_check(sharp_graph(r, b)[0], b).implication_applicable is False, (r, b)
+
+
 def test_theorem_check_rejects_low_degree():
     with pytest.raises(ValueError):
         theorem_check(cycle_graph(6), 1)
